@@ -1,20 +1,12 @@
 """Engineering benches: map-matching throughput, incremental vs HMM.
 
-``test_perf_hmm_matcher`` publishes ``hmm_viterbi_ratio`` — the
-vectorized Viterbi decode (NumPy forward pass + one many-to-many
-transition-distance batch per trip, prepared CH engine) vs the scalar
-reference decode (pure-Python forward pass, one capped Dijkstra per
-previous-candidate exit per transition) over the same pre-built
-candidate layers.  Candidate generation and gap filling are identical
-stages on both sides and are excluded from the measurement.  The
-committed gate lives in ``tools/bench_compare.py`` (limit 0.25, i.e.
-the decode must stay >= 4x faster); ``hmm_viterbi_flat_ratio`` (same
-kernel on the flat engine, where cache misses fall back to
-multi-target Dijkstras) is published alongside for context, ungated.
+``test_perf_hmm_matcher`` times the Viterbi decode alone (NumPy forward
+pass + one many-to-many transition-distance batch per trip, prepared CH
+engine) over pre-built candidate layers; candidate generation and gap
+filling are excluded from the measurement.
 """
 
 import math
-import time
 
 import pytest
 
@@ -36,7 +28,7 @@ def _segments(bench_study, n):
 def hmm_decode_workload(bench_study):
     """Pre-built Viterbi inputs for the decode bench, prepared once.
 
-    Mirrors :meth:`HmmMatcher.match` up to the decoder branch: candidate
+    Mirrors :meth:`HmmMatcher.match` up to the decoder call: candidate
     layers (empty layers dropped), straight-line distances, transition
     caps, and the trip's batched query set.
     """
@@ -111,47 +103,20 @@ def test_perf_hmm_matcher(benchmark, bench_study, hmm_decode_workload):
     graph, prepped = hmm_decode_workload
     ch_engine = prepare_ch(graph, weight="length")
 
-    def scalar_sweep():
+    def sweep():
+        _reset_matrix_memos(ch_engine)
         matcher = HmmMatcher(
-            graph, route_cache=RouteCache(), vectorized_viterbi=False
+            graph, route_cache=RouteCache(), routing_engine=ch_engine
         )
-        t0 = time.perf_counter()
-        for layers, straights, caps, *__ in prepped:
-            matcher._viterbi_scalar(layers, straights, caps)
-        return time.perf_counter() - t0
-
-    def vectorized_sweep(engine):
-        if engine is not None:
-            _reset_matrix_memos(engine)
-        matcher = HmmMatcher(
-            graph, route_cache=RouteCache(), routing_engine=engine
-        )
-        t0 = time.perf_counter()
         for args in prepped:
-            matcher._viterbi_vectorized(*args)
-        return time.perf_counter() - t0
+            matcher._viterbi(*args)
 
-    def measure_once(engine):
-        return vectorized_sweep(engine) / scalar_sweep()
-
-    measure_once(ch_engine)  # warm allocator / code paths
-    ratio_ch = min(measure_once(ch_engine) for __ in range(3))
-    ratio_flat = min(measure_once(None) for __ in range(3))
-    benchmark.extra_info["hmm_viterbi_ratio"] = round(ratio_ch, 4)
-    benchmark.extra_info["hmm_viterbi_flat_ratio"] = round(ratio_flat, 4)
     benchmark.extra_info["hmm_decode_trips"] = len(prepped)
-    benchmark.pedantic(
-        lambda: vectorized_sweep(ch_engine), rounds=3, iterations=1
-    )
-    # The committed gate lives in tools/bench_compare.py (limit 0.25);
-    # this looser assert just catches a broken kernel immediately.
-    assert ratio_ch < 1.0, (
-        f"vectorized Viterbi slower than scalar ({ratio_ch:.2f}x)"
-    )
+    benchmark.pedantic(sweep, rounds=3, iterations=1)
 
 
 def test_hmm_matcher_end_to_end_sanity(bench_study):
-    """The full vectorized matcher still matches every bench segment."""
+    """The full matcher still matches every bench segment."""
     city = bench_study.city
     segments = _segments(bench_study, 10)
     engine = prepare_ch(city.graph, weight="length")

@@ -1,39 +1,21 @@
-"""Perf benches for the many-to-many CH kernels and batched gap-fill.
+"""Perf bench for the many-to-many CH kernel.
 
-Two measurements, both published as interleaved ratios (see the
-``RATIO_GATES`` rationale in ``tools/bench_compare.py``):
-
-* ``matrix_loop_ratio`` — one :func:`route_matrix` call over an
-  ``n x n`` endpoint set vs the same table built from looped
-  point-to-point :meth:`CHEngine.shortest_path` queries.  This is the
-  matrix-shaped workload the bucket algorithm exists for (OD gate
-  matrices, route-frequency detours); the kernel shares upward searches
-  and bucket scans across the whole table and must stay well under the
-  looped cost (gate: <= 0.25, i.e. >= 4x faster; measured ~0.09).
-
-* ``gapfill_batch_ratio`` — :func:`connect_matches` over a matched
-  bench fleet with ``batch_routing`` on vs off, same prepared CH
-  engine, fresh route cache per mode per round.  Trip-level gap batches
-  are *small* (a handful of endpoint pairs) and the shared
-  :class:`RouteCache` already collapses repeat queries, so batching is
-  a parity play here, not a speedup: the gate (<= 1.4) guards that the
-  batch planner's collect/resolve machinery never meaningfully regresses
-  the per-gap loop while keeping artefacts byte-identical.  The big
-  many-to-many wins live in the matrix-shaped benches above.
+``matrix_loop_ratio`` is published as an interleaved ratio (see the
+``RATIO_GATES`` rationale in ``tools/bench_compare.py``): one
+:func:`route_matrix` call over an ``n x n`` endpoint set vs the same
+table built from looped point-to-point :meth:`CHEngine.shortest_path`
+queries.  This is the matrix-shaped workload the bucket algorithm exists
+for (OD gate matrices, route-frequency detours); the kernel shares upward
+searches and bucket scans across the whole table and must stay well
+under the looped cost (gate: <= 0.25, i.e. >= 4x faster; measured ~0.09).
 """
 
-import statistics
 import time
 
 import pytest
 
-from repro.cleaning import CleaningPipeline
-from repro.matching import IncrementalMatcher
-from repro.matching.gapfill import connect_matches
 from repro.roadnet.ch import prepare_ch
 from repro.roadnet.ch.matrix import route_matrix
-from repro.roadnet.routing import RouteCache
-from repro.traces import FleetSpec, TaxiFleetSimulator
 
 
 def _endpoints(city, n, seed):
@@ -59,34 +41,6 @@ def _reset_matrix_memos(engine):
 @pytest.fixture(scope="module")
 def matrix_ch(bench_city):
     return prepare_ch(bench_city.graph, weight="time")
-
-
-@pytest.fixture(scope="module")
-def gapfill_workload(bench_city):
-    """Matched routes for the gap-fill bench, prepared once.
-
-    The matcher runs with the same CH engine the bench then times
-    gap-fill against; matching itself is *not* part of the measurement.
-    """
-    engine = prepare_ch(bench_city.graph, weight="length")
-    fleet, __ = TaxiFleetSimulator(
-        bench_city, FleetSpec(n_days=6, seed=2012)
-    ).simulate()
-    clean = CleaningPipeline().run(fleet)
-    projector = bench_city.projector
-    matcher = IncrementalMatcher(bench_city.graph, routing_engine=engine)
-    routes = []
-    for i, segment in enumerate(clean.segments):
-        route = matcher.match(
-            segment.points,
-            lambda p: projector.to_xy(p.lat, p.lon),
-            segment_id=i,
-            car_id=segment.car_id,
-        )
-        if route is not None:
-            routes.append(route)
-    assert len(routes) >= 100  # the bench needs a real workload
-    return engine, routes
 
 
 def test_route_matrix_vs_looped_ch(benchmark, bench_city, matrix_ch):
@@ -120,36 +74,3 @@ def test_route_matrix_vs_looped_ch(benchmark, bench_city, matrix_ch):
     # this looser assert just catches a broken kernel immediately.
     assert ratio < 1.0, f"route_matrix slower than looped CH ({ratio:.2f}x)"
 
-
-def test_gapfill_batched_vs_pergap(benchmark, bench_city, gapfill_workload):
-    engine, routes = gapfill_workload
-    graph = bench_city.graph
-
-    def sweep(batch):
-        cache = RouteCache(max_entries=50_000)
-        t0 = time.perf_counter()
-        for route in routes:
-            connect_matches(
-                graph, route, route_cache=cache,
-                engine=engine, batch_routing=batch,
-            )
-        return time.perf_counter() - t0
-
-    # Identity check first (and warm-up): batching must not change a
-    # single edge sequence.
-    sweep(False)
-    per_gap = [list(route.edge_sequence) for route in routes]
-    sweep(True)
-    assert [list(route.edge_sequence) for route in routes] == per_gap
-
-    ratios = []
-    for __ in range(5):
-        t_off = sweep(False)
-        t_on = sweep(True)
-        ratios.append(t_on / t_off)
-    ratio = statistics.median(ratios)
-    benchmark.extra_info["gapfill_batch_ratio"] = round(ratio, 4)
-    benchmark.extra_info["gapfill_routes"] = len(routes)
-    benchmark.pedantic(lambda: sweep(True), rounds=3, iterations=1)
-    # Committed gate: tools/bench_compare.py, limit 1.4 (parity guard).
-    assert ratio < 2.0, f"batched gap-fill regressed badly ({ratio:.2f}x)"

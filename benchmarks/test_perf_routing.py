@@ -1,4 +1,4 @@
-"""Engineering benches: Dijkstra / A* / bidirectional / CH on the city graph.
+"""Engineering benches: flat Dijkstra vs CH on the city graph.
 
 This module is the engine-comparison suite for the pgRouting role: every
 engine answers the same query workload so the BENCH_routing.json medians
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.roadnet.ch import prepare_ch, save_ch
-from repro.roadnet.routing import astar, bidirectional_dijkstra, shortest_path
+from repro.roadnet.routing import shortest_path
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -47,32 +47,6 @@ def test_perf_dijkstra(benchmark, bench_city):
 
     found = benchmark(run)
     assert found >= len(pairs) * 0.9  # the city is essentially connected
-
-
-def test_perf_astar(benchmark, bench_city):
-    pairs = _node_pairs(bench_city)
-
-    def run():
-        return sum(
-            1 for s, t in pairs
-            if astar(bench_city.graph, s, t, weight="time").found
-        )
-
-    found = benchmark(run)
-    assert found >= len(pairs) * 0.9
-
-
-def test_perf_bidirectional(benchmark, bench_city):
-    pairs = _node_pairs(bench_city)
-
-    def run():
-        return sum(
-            1 for s, t in pairs
-            if bidirectional_dijkstra(bench_city.graph, s, t, weight="time").found
-        )
-
-    found = benchmark(run)
-    assert found >= len(pairs) * 0.9
 
 
 def test_perf_ch_queries(benchmark, bench_city, bench_ch):
@@ -120,18 +94,3 @@ def test_ch_costs_match_dijkstra_on_bench_workload(bench_city, bench_ch):
         if plain.found:
             assert ch.cost == pytest.approx(plain.cost, rel=1e-9)
 
-
-def test_astar_explores_not_worse_than_dijkstra_cost(bench_city, benchmark):
-    pairs = _node_pairs(bench_city, n=20, seed=9)
-
-    def run():
-        diffs = []
-        for s, t in pairs:
-            d = shortest_path(bench_city.graph, s, t)
-            a = astar(bench_city.graph, s, t)
-            if d.found:
-                diffs.append(abs(a.cost - d.cost))
-        return max(diffs) if diffs else 0.0
-
-    worst = benchmark(run)
-    assert worst < 1e-6

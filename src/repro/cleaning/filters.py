@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geo.distance import haversine_m  # scalar-ok: per-pair filter predicates
+from repro.geo.distance import haversine_m
 from repro.traces.model import RoutePoint, trip_distance_m
 
 
@@ -110,8 +110,8 @@ def filter_segments(segments: list, config: FilterConfig) -> tuple[list, int, in
         if len(seg.points) < config.min_segment_points:
             dropped_short += 1
             continue
-        # TripSegment memoizes its length (seeded by vectorized
-        # segmentation); fall back to a fresh walk for bare duck types.
+        # TripSegment memoizes its length (seeded by segmentation); fall
+        # back to a fresh walk for bare duck types.
         length = getattr(seg, "distance_m", None)
         if length is None:
             length = trip_distance_m(seg.points)

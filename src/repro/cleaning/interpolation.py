@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geo.distance import haversine_m  # scalar-ok: one call per inserted gap point
+from repro.geo.distance import haversine_m
 from repro.traces.model import RoutePoint
 
 #: Interpolated points get ids offset by this, keeping them recognisable.

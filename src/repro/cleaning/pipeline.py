@@ -114,16 +114,11 @@ class CleaningPipeline:
         filter_config: FilterConfig | None = None,
         segmentation_config: SegmentationConfig | None = None,
         repair: bool = True,
-        vectorized: bool = True,
         robustness: RobustnessConfig | None = None,
     ) -> None:
         self.filter_config = filter_config or FilterConfig()
         self.segmentation_config = segmentation_config or SegmentationConfig()
         self.repair = repair
-        #: Run ordering repair and segmentation through the NumPy batch
-        #: kernels (identical results; see ``repro.geo.vector``).  False
-        #: falls back to the scalar reference path (CLI ``--no-vectorize``).
-        self.vectorized = vectorized
         #: Degraded-mode execution: with a config, a trip that raises is
         #: quarantined (after bounded retries of transient failures)
         #: instead of aborting the run.  ``None`` keeps the historical
@@ -142,7 +137,7 @@ class CleaningPipeline:
         result = TripCleanResult(segments=[], stage_seconds=stage_s)
         if self.repair:
             t0 = perf_counter()
-            trip, ordering = repair_ordering(trip, vectorized=self.vectorized)
+            trip, ordering = repair_ordering(trip)
             stage_s["ordering"] += perf_counter() - t0
             if not ordering.was_consistent:
                 result.reordered = True
@@ -166,8 +161,7 @@ class CleaningPipeline:
         trip = trip.with_points(points)
         t0 = perf_counter()
         result.segments, result.segmentation = segment_trip(
-            trip, self.segmentation_config, first_segment_id=1,
-            vectorized=self.vectorized,
+            trip, self.segmentation_config, first_segment_id=1
         )
         stage_s["segmentation"] += perf_counter() - t0
         return result

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geo.distance import haversine_m  # scalar-ok: reference implementation
+from repro.geo.distance import haversine_m
 from repro.traces.arrays import TraceArrays
 from repro.traces.model import RoutePoint, Trip, trip_distance_m
 
@@ -91,9 +91,9 @@ class TripSegment:
     def distance_m(self) -> float:
         """Segment length in metres (computed once, then cached).
 
-        The vectorized segmentation path seeds the cache from its gap
-        arrays; otherwise the first access walks the points with the
-        scalar haversine exactly once.
+        :func:`segment_trip` seeds the cache from its gap arrays; a
+        segment built any other way walks its points with the haversine
+        on first access, exactly once.
         """
         if self._distance_m is None:
             self._distance_m = trip_distance_m(self.points)
@@ -112,7 +112,11 @@ class TripSegment:
 def _stop_rule(
     a: RoutePoint, b: RoutePoint, config: SegmentationConfig, window_1_s: float
 ) -> int:
-    """Which Table 2 rule (1-4) declares the gap a->b a stop; 0 for none."""
+    """Which Table 2 rule (1-4) declares the gap a->b a stop; 0 for none.
+
+    The one-gap form of :func:`_stop_rules`, for callers that see a
+    trip one fix at a time (the streaming service's rule preview).
+    """
     dt = b.time_s - a.time_s
     dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
     if dt >= window_1_s and dist <= config.rule1_epsilon_m:
@@ -130,38 +134,13 @@ def _stop_rule(
     return 0
 
 
-def _split_at_stops(
-    points: list[RoutePoint],
-    config: SegmentationConfig,
-    window_1_s: float,
-    report: SegmentationReport,
-) -> list[list[RoutePoint]]:
-    """Split a point sequence wherever a stop rule fires on a gap."""
-    if not points:
-        return []
-    pieces: list[list[RoutePoint]] = []
-    current: list[RoutePoint] = [points[0]]
-    for a, b in zip(points, points[1:]):
-        rule = _stop_rule(a, b, config, window_1_s)
-        if rule:
-            report.rule_hits[rule] += 1
-            if len(current) >= 2:
-                pieces.append(current)
-            current = [b]
-        else:
-            current.append(b)
-    if len(current) >= 2:
-        pieces.append(current)
-    return pieces
-
-
-def _stop_rules_vec(
+def _stop_rules(
     dist: np.ndarray, dt: np.ndarray, config: SegmentationConfig, window_1_s: float
 ) -> np.ndarray:
     """Table 2 rules 1-4 as one array over gaps (0 where no rule fires).
 
     Each rule is a boolean mask over the gap distance/dt columns; the
-    firing rule per gap is the first true mask — exactly the scalar
+    firing rule per gap is the first true mask — exactly the
     :func:`_stop_rule` precedence.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,7 +157,7 @@ def _stop_rules_vec(
     return np.select([m1, m2, m3, m4], [1, 2, 3, 4], default=0)
 
 
-def _split_spans_vec(
+def _split_spans(
     lo: int,
     hi: int,
     dist: np.ndarray,
@@ -187,7 +166,7 @@ def _split_spans_vec(
     window_1_s: float,
     report: SegmentationReport,
 ) -> list[tuple[int, int]]:
-    """Vectorized :func:`_split_at_stops` over the point span ``[lo, hi)``.
+    """Split the point span ``[lo, hi)`` wherever a stop rule fires.
 
     Gap ``g`` (global index) separates points ``g`` and ``g + 1``; a
     firing gap ends the current piece at point ``g``.  Returns kept piece
@@ -195,7 +174,7 @@ def _split_spans_vec(
     """
     if hi - lo < 2:
         return []
-    rule = _stop_rules_vec(dist[lo : hi - 1], dt[lo : hi - 1], config, window_1_s)
+    rule = _stop_rules(dist[lo : hi - 1], dt[lo : hi - 1], config, window_1_s)
     for r in range(1, 5):
         hits = int(np.count_nonzero(rule == r))
         if hits:
@@ -204,12 +183,16 @@ def _split_spans_vec(
     return [(s, e) for s, e in zip(bounds, bounds[1:]) if e - s >= 2]
 
 
-def _segment_trip_vec(
+def segment_trip(
     trip: Trip,
-    config: SegmentationConfig,
-    first_segment_id: int,
+    config: SegmentationConfig | None = None,
+    first_segment_id: int = 1,
 ) -> tuple[list[TripSegment], SegmentationReport]:
-    """Columnar two-round segmentation; identical output to the scalar path.
+    """Apply the Table 2 rules to one raw trip.
+
+    Returns the segments (ids starting at ``first_segment_id``) and a
+    report of rule firings.  Rule 5 (re-splitting over-40 km segments with
+    a tighter rule-1 window) runs as the second round, as in the paper.
 
     All five rule predicates evaluate as boolean masks over the trip's gap
     arrays (one geometry pass for the whole trip, shared by both rounds),
@@ -217,17 +200,18 @@ def _segment_trip_vec(
     rule 5 check are subarray sums of the same gap distances, which also
     seed each segment's :attr:`TripSegment.distance_m` cache.
     """
+    config = config or SegmentationConfig()
     report = SegmentationReport(trips_processed=1)
     dist, dt = TraceArrays.from_trip(trip).gaps()
     n = len(trip.points)
-    first_round = _split_spans_vec(0, n, dist, dt, config, config.rule1_window_s, report)
+    first_round = _split_spans(0, n, dist, dt, config, config.rule1_window_s, report)
 
     final_spans: list[tuple[int, int]] = []
     for lo, hi in first_round:
         if float(np.sum(dist[lo : hi - 1])) > config.rule5_length_m:
             report.rule_hits[5] += 1
             final_spans.extend(
-                _split_spans_vec(lo, hi, dist, dt, config, config.rule5_window_s, report)
+                _split_spans(lo, hi, dist, dt, config, config.rule5_window_s, report)
             )
         else:
             final_spans.append((lo, hi))
@@ -246,48 +230,3 @@ def _segment_trip_vec(
     report.segments_created = len(segments)
     return segments, report
 
-
-def segment_trip(
-    trip: Trip,
-    config: SegmentationConfig | None = None,
-    first_segment_id: int = 1,
-    vectorized: bool = False,
-) -> tuple[list[TripSegment], SegmentationReport]:
-    """Apply the Table 2 rules to one raw trip.
-
-    Returns the segments (ids starting at ``first_segment_id``) and a
-    report of rule firings.  Rule 5 (re-splitting over-40 km segments with
-    a tighter rule-1 window) runs as the second round, as in the paper.
-
-    ``vectorized=True`` evaluates the rules as NumPy masks over the trip's
-    gap arrays (see :func:`_segment_trip_vec`); same segments, same rule
-    hits, one batched geometry pass instead of a per-gap haversine call.
-    """
-    config = config or SegmentationConfig()
-    if vectorized:
-        return _segment_trip_vec(trip, config, first_segment_id)
-    report = SegmentationReport(trips_processed=1)
-    first_round = _split_at_stops(trip.points, config, config.rule1_window_s, report)
-
-    final_pieces: list[list[RoutePoint]] = []
-    for piece in first_round:
-        if trip_distance_m(piece) > config.rule5_length_m:
-            report.rule_hits[5] += 1
-            final_pieces.extend(
-                _split_at_stops(piece, config, config.rule5_window_s, report)
-            )
-        else:
-            final_pieces.append(piece)
-
-    segments = [
-        TripSegment(
-            segment_id=first_segment_id + i,
-            trip_id=trip.trip_id,
-            car_id=trip.car_id,
-            index=i,
-            points=piece,
-        )
-        for i, piece in enumerate(final_pieces)
-    ]
-    report.segments_created = len(segments)
-    return segments, report

@@ -21,7 +21,7 @@ from repro.faults import (
 )
 from repro.features import GridAccumulator, GridSpec, cell_feature_counts
 from repro.features.routestats import RouteStats, transition_route_stats
-from repro.matching import HmmMatcher, IncrementalMatcher, MatchedRoute
+from repro.matching import MatchedRoute, make_matcher
 from repro.obs import (
     MetricsRegistry,
     RunContext,
@@ -97,9 +97,6 @@ class StudyConfig:
             route_cache_path=self.executor.route_cache_path,
             routing_engine=self.executor.routing_engine,
             ch_artifact_path=self.executor.ch_artifact_path,
-            vectorized=self.executor.vectorized,
-            batch_routing=self.executor.batch_routing,
-            vectorized_viterbi=self.executor.vectorized_viterbi,
             robustness=self.robustness,
             fault_plan=self.faults,
         )
@@ -252,10 +249,7 @@ class OuluStudy:
             planner = StudyPlanner(ShardStore(config.store.dir), config)
             planner.plan(fleet)
 
-        pipeline = CleaningPipeline(
-            vectorized=config.executor.vectorized,
-            robustness=config.robustness,
-        )
+        pipeline = CleaningPipeline(robustness=config.robustness)
         per_trip = None
         if planner is not None:
             per_trip = planner.clean_stage(
@@ -271,10 +265,7 @@ class OuluStudy:
             return projector.to_xy(p.lat, p.lon)
 
         gates = study_gates(city)
-        extractor = TransitionExtractor(
-            gates, city.central_area, config.transition,
-            vectorized=config.executor.vectorized,
-        )
+        extractor = TransitionExtractor(gates, city.central_area, config.transition)
         with span("extract"):
             extractions = None
             if planner is not None:
@@ -308,22 +299,9 @@ class OuluStudy:
             engine = make_routing_engine(
                 city.graph,
                 config.executor.routing_engine,
-                weight="length",
                 ch_artifact=config.executor.ch_artifact_path,
             )
-            if config.matcher == "hmm":
-                matcher = HmmMatcher(
-                    city.graph, route_cache=route_cache, routing_engine=engine,
-                    vectorized=config.executor.vectorized,
-                    batch_routing=config.executor.batch_routing,
-                    vectorized_viterbi=config.executor.vectorized_viterbi,
-                )
-            else:
-                matcher = IncrementalMatcher(
-                    city.graph, route_cache=route_cache, routing_engine=engine,
-                    vectorized=config.executor.vectorized,
-                    batch_routing=config.executor.batch_routing,
-                )
+            matcher = make_matcher(city.graph, config.matcher, route_cache, engine)
             computed = [
                 match_task(
                     matcher, to_xy, extractor.gates_by_name,

@@ -14,8 +14,8 @@ Python machinery:
   gates (:mod:`repro.geo.polygon`),
 * a uniform grid spatial index for points and segments
   (:mod:`repro.geo.index`),
-* batched NumPy counterparts of the scalar kernels for the vectorized
-  fast paths (:mod:`repro.geo.vector`).
+* batched NumPy counterparts of the scalar kernels for the pipeline's
+  array stages (:mod:`repro.geo.vector`).
 """
 
 from repro.geo.distance import (

@@ -7,10 +7,9 @@ functions stay the reference implementations; every kernel here applies
 the batch results agree with the scalar path to the last few ulps (the
 property the vectorized-pipeline equivalence tests pin down).
 
-Used by the ``vectorized=True`` fast paths of the cleaning, gating and
-candidate-generation stages — per-gap trip geometry becomes a handful of
-array operations instead of one Python-level trig call per route-point
-pair.
+Used by the cleaning, gating and candidate-generation stages — per-gap
+trip geometry becomes a handful of array operations instead of one
+Python-level trig call per route-point pair.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ Aligns cleaned route points onto the road graph:
 * :mod:`repro.matching.gapfill` — Dijkstra shortest-path gap filling
   between distant fixes (the pgRouting step);
 * :mod:`repro.matching.types` — matched points and routes.
+
+:func:`make_matcher` builds either matcher by name; the study, the pool
+workers and the streaming service all construct theirs through it.
 """
 
 from repro.matching.candidates import (
@@ -42,6 +45,23 @@ from repro.matching.types import (
     movement_directions,
 )
 
+
+def make_matcher(
+    graph, kind: str, route_cache=None, engine=None
+) -> IncrementalMatcher | HmmMatcher:
+    """The ``kind`` matcher (``"incremental"`` or ``"hmm"``) over ``graph``.
+
+    ``route_cache`` and ``engine`` (None for flat Dijkstra, or a prepared
+    engine from :func:`repro.roadnet.make_routing_engine`) serve its gap
+    filling.
+    """
+    if kind == "hmm":
+        return HmmMatcher(graph, route_cache=route_cache, routing_engine=engine)
+    if kind == "incremental":
+        return IncrementalMatcher(graph, route_cache=route_cache, routing_engine=engine)
+    raise ValueError(f"unknown matcher {kind!r}; choose 'incremental' or 'hmm'")
+
+
 __all__ = [
     "Candidate",
     "CandidateConfig",
@@ -61,6 +81,7 @@ __all__ = [
     "edge_exits",
     "edge_jaccard",
     "evaluate_matcher",
+    "make_matcher",
     "movement_directions",
     "truth_for_segment",
 ]

@@ -56,30 +56,6 @@ def _distance_score(d: float, config: CandidateConfig) -> float:
     return config.mu_distance - config.distance_a * d**config.distance_exp
 
 
-def _orientation_score(
-    movement: Point | None, edge: RoadEdge, arc: float, config: CandidateConfig
-) -> float:
-    """Orientation score plus the one-way legality penalty."""
-    if movement is None or movement == (0.0, 0.0):
-        return 0.0
-    heading = edge.geometry.heading_at(arc)
-    norm = math.hypot(*movement)
-    if norm == 0.0:
-        return 0.0
-    cosang = (movement[0] * heading[0] + movement[1] * heading[1]) / norm
-    both_ways = edge.forward_allowed and edge.backward_allowed
-    if both_ways:
-        score = config.mu_orientation * abs(cosang)
-    else:
-        # One-way: the sign matters. Forward-only wants positive cos
-        # (movement along u->v geometry), backward-only negative.
-        directed = cosang if edge.forward_allowed else -cosang
-        score = config.mu_orientation * directed
-        if directed < -0.2:
-            score -= config.oneway_penalty
-    return score
-
-
 def candidates_for_point(
     graph: RoadGraph,
     xy: Point,
@@ -90,22 +66,10 @@ def candidates_for_point(
 
     ``movement`` is the local direction of travel (from neighbouring
     fixes); None disables the orientation component (e.g. for a stationary
-    vehicle).
+    vehicle).  Edge id breaks score ties, so the ranking is a total order
+    and does not depend on the spatial index's iteration order.
     """
-    config = config or CandidateConfig()
-    out: list[Candidate] = []
-    for edge in graph.edges_near(xy, config.radius_m):
-        snapped, arc, dist = edge.geometry.project(xy)
-        score = _distance_score(dist, config) + _orientation_score(
-            movement, edge, arc, config
-        )
-        out.append(
-            Candidate(edge=edge, arc_m=arc, snapped_xy=snapped, distance_m=dist, score=score)
-        )
-    # Edge id breaks score ties, so the ranking is a total order and does
-    # not depend on the spatial index's iteration order.
-    out.sort(key=lambda c: (-c.score, c.edge.edge_id))
-    return out[: config.max_candidates]
+    return candidates_for_points(graph, [xy], [movement], config)[0]
 
 
 class EdgeArrays:
@@ -208,13 +172,13 @@ def candidates_for_points(
     movements: list[Point | None],
     config: CandidateConfig | None = None,
 ) -> list[list[Candidate]]:
-    """Scored candidates for a whole fix sequence — the batched fast path.
+    """Scored candidates for a whole fix sequence, one best-first list per fix.
 
-    Returns one best-first candidate list per fix, identical to calling
-    :func:`candidates_for_point` per fix: the projection, both score terms
-    and the radius refinement run the same floating-point operations in
-    the same order, just over (fix, edge) pair columns, and the final
-    ranking uses the same total-order ``(-score, edge_id)`` key.
+    The projection (:meth:`LineString.project`), both score terms and the
+    radius refinement (``edges_near``) run over (fix, edge) pair columns,
+    with the floating-point operations of the per-edge geometry methods in
+    the same order; the ranking key is the total order
+    ``(-score, edge_id)``.
     """
     config = config or CandidateConfig()
     n_points = len(xys)
@@ -283,7 +247,8 @@ def candidates_for_points(
     hx = arrays.hx[head_row]
     hy = arrays.hy[head_row]
 
-    # -- scores (same expressions as the scalar helpers).
+    # -- scores: distance term s_d, orientation term s_o with the one-way
+    # penalty (module docstring).
     mx = np.zeros(n_points)
     my = np.zeros(n_points)
     norm = np.ones(n_points)
@@ -316,8 +281,8 @@ def candidates_for_points(
     # -- per-fix assembly, ranked by the same total-order key.  The
     # distance score's pow runs per kept pair in Python: NumPy's SIMD
     # pow kernel is 1 ulp off libm for ~5% of inputs, which would break
-    # bitwise score parity with the scalar path (and costs nothing —
-    # the scalar path pays exactly one pow per refined candidate too).
+    # bitwise score parity with the per-candidate reference (one pow per
+    # refined candidate either way).
     pt_start = np.zeros(n_points + 1, dtype=np.int64)
     np.cumsum(n_edges, out=pt_start[1:])
     snapped_x = cx[best]

@@ -8,8 +8,8 @@ Dijkstra, and picks the cheapest consistent traversal, honouring one-way
 directions throughout.
 
 With a many-to-many capable engine (a prepared
-:class:`~repro.roadnet.ch.CHEngine`) and ``batch_routing=True``, every
-gap query of the trip is collected up front and resolved through one
+:class:`~repro.roadnet.ch.CHEngine`), every gap query of the trip is
+collected up front and resolved through one
 :class:`~repro.roadnet.routing.RouteBatch` call instead of one engine
 query per endpoint combination; the per-gap decision loop then reads the
 pre-resolved answers.  The batch answers are bitwise-identical to the
@@ -128,18 +128,17 @@ def connect_matches(
     max_cost_m: float = 2_000.0,
     route_cache: RouteCache | None = None,
     engine=None,
-    batch_routing: bool = True,
 ) -> MatchedRoute:
     """Fill the matched route's edge sequence in place and return it.
 
     ``route_cache`` memoises the shortest-path sub-queries; it never
     changes the resulting edge sequence (see :func:`cached_shortest_path`).
     ``engine`` selects what answers cache misses — the default flat
-    Dijkstra, ``"astar"``/``"bidirectional"``, or a prepared
-    :class:`~repro.roadnet.ch.CHEngine`; every engine returns optimal
-    costs, so gap decisions are identical up to equal-cost path ties.
+    Dijkstra or a prepared :class:`~repro.roadnet.ch.CHEngine`; both
+    return optimal costs, so gap decisions are identical up to
+    equal-cost path ties.
 
-    ``batch_routing`` resolves all the trip's gap queries through one
+    All the trip's gap queries resolve through one
     :class:`~repro.roadnet.routing.RouteBatch` call when the engine
     supports many-to-many queries; flat engines keep the per-gap loop
     (batching a superset of pairs through them would route *more*, not
@@ -164,17 +163,14 @@ def connect_matches(
         return route
 
     resolved = None
-    if batch_routing:
-        batch = RouteBatch(
-            graph, weight="length", cache=route_cache, engine=engine
-        )
-        if batch.supports_many:
-            gap_pairs = _collect_gap_pairs(graph, runs)
-            if len(gap_pairs) >= 2:
-                resolved = batch.resolve(gap_pairs)
-                # routing.* namespace: engine-dependent counters are
-                # excluded from serial/parallel comparable metrics.
-                registry.counter("routing.gapfill_batched").inc()
+    batch = RouteBatch(graph, weight="length", cache=route_cache, engine=engine)
+    if batch.supports_many:
+        gap_pairs = _collect_gap_pairs(graph, runs)
+        if len(gap_pairs) >= 2:
+            resolved = batch.resolve(gap_pairs)
+            # routing.* namespace: engine-dependent counters are
+            # excluded from serial/parallel comparable metrics.
+            registry.counter("routing.gapfill_batched").inc()
 
     if resolved is not None:
         batch_answers = resolved
@@ -187,7 +183,7 @@ def connect_matches(
     else:
 
         def query(exit1: int, entry2: int):
-            return cached_shortest_path(  # batch-ok: fallback for flat engines
+            return cached_shortest_path(
                 graph, exit1, entry2, weight="length",
                 cache=route_cache, engine=engine,
             )

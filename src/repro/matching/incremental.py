@@ -25,12 +25,7 @@ import json
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.matching.candidates import (
-    Candidate,
-    CandidateConfig,
-    candidates_for_point,
-    candidates_for_points,
-)
+from repro.matching.candidates import Candidate, CandidateConfig, candidates_for_points
 from repro.matching.gapfill import connect_matches
 from repro.matching.types import MatchedPoint, MatchedRoute, movement_directions
 from repro.obs import get_logger, get_registry
@@ -184,23 +179,13 @@ class IncrementalMatcher:
         config: IncrementalConfig | None = None,
         route_cache: RouteCache | None = None,
         routing_engine=None,
-        vectorized: bool = True,
-        batch_routing: bool = True,
     ) -> None:
         self.graph = graph
         self.config = config or IncrementalConfig()
         self.route_cache = route_cache
-        #: Gap-fill engine: None (flat Dijkstra), an engine name, or a
-        #: prepared CH engine (see :func:`repro.roadnet.make_routing_engine`).
+        #: Gap-fill engine: None (flat Dijkstra) or a prepared CH engine
+        #: (see :func:`repro.roadnet.make_routing_engine`).
         self.routing_engine = routing_engine
-        #: Generate candidates for all fixes in one batched pass
-        #: (identical candidates; see
-        #: :func:`repro.matching.candidates.candidates_for_points`).
-        self.vectorized = vectorized
-        #: Resolve each trip's gap queries in one many-to-many batch when
-        #: the engine supports it (identical edge sequences; see
-        #: :func:`repro.matching.gapfill.connect_matches`).
-        self.batch_routing = batch_routing
         self._adjacent: dict[int, set[int]] = {}
 
     # -- adjacency ------------------------------------------------------------
@@ -286,7 +271,6 @@ class IncrementalMatcher:
         connect_matches(
             self.graph, route, max_cost_m=self.config.max_gap_cost_m,
             route_cache=self.route_cache, engine=self.routing_engine,
-            batch_routing=self.batch_routing,
         )
         state.elapsed_s += perf_counter() - t1
         registry.histogram("matching.match_seconds").observe(state.elapsed_s)
@@ -317,14 +301,9 @@ class IncrementalMatcher:
             b = xys[min(n - 1, i + 1)]
             mv = (b[0] - a[0], b[1] - a[1])
             movement = mv if mv != (0.0, 0.0) else None
-            if self.vectorized:
-                cands = candidates_for_points(
-                    self.graph, [xys[i]], [movement], self.config.candidates
-                )[0]
-            else:
-                cands = candidates_for_point(
-                    self.graph, xys[i], movement, self.config.candidates
-                )
+            cands = candidates_for_points(
+                self.graph, [xys[i]], [movement], self.config.candidates
+            )[0]
             state.cache[i] = cands
         return cands
 
@@ -412,15 +391,9 @@ class IncrementalMatcher:
         state.points = list(points)
         state.xys = [to_xy(p) for p in points]
         movements = movement_directions(state.xys)
-        if self.vectorized:
-            all_candidates = candidates_for_points(
-                self.graph, state.xys, movements, self.config.candidates
-            )
-        else:
-            all_candidates = [
-                candidates_for_point(self.graph, xy, mv, self.config.candidates)
-                for xy, mv in zip(state.xys, movements)
-            ]
+        all_candidates = candidates_for_points(
+            self.graph, state.xys, movements, self.config.candidates
+        )
         state.cache = dict(enumerate(all_candidates))
         state.elapsed_s = perf_counter() - t0
         return self.finish(state)

@@ -170,7 +170,7 @@ def render_report(
         lines.append("HMM batching:")
         lines.append(f"  layers decoded      {int(hmm_layers)}")
         lines.append(f"  transition pairs    {pairs} (batched per trip)")
-        lines.append(f"  dijkstras avoided   {avoided} vs the scalar decoder")
+        lines.append(f"  dijkstras avoided   {avoided} vs one search per transition")
         lines.append("")
 
     quarantines = [e for e in events if e.get("kind") == "quarantine"]

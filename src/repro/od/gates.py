@@ -66,22 +66,19 @@ def find_crossings(
     xys: list[Point],
     times: list[float],
     gates: list[Gate],
-    vectorized: bool = False,
 ) -> list[CrossingEvent]:
     """All gate crossings of a point sequence, in time order.
 
     Consecutive hits of the same gate are collapsed into the first one, so
     a slow passage (several fixes inside the thick region) counts once.
 
-    ``vectorized=True`` evaluates the bounding-box prefilter of every gate
-    as one array comparison over the segment-endpoint columns (built once
-    for all gates); only the few surviving movements pay for the exact
-    thick-line test.  The bbox test is the same comparison
-    :meth:`Gate.crossed_by` short-circuits on, so the detected events — and
-    the consecutive-hit collapsing — are identical.
+    The bounding-box prefilter of every gate runs as one array comparison
+    over the segment-endpoint columns (built once for all gates); only the
+    few surviving movements pay for the exact thick-line test.  The bbox
+    test is the same comparison :meth:`Gate.crossed_by` short-circuits on.
     """
     events: list[CrossingEvent] = []
-    if vectorized and len(xys) >= 2 and gates:
+    if len(xys) >= 2 and gates:
         xy = np.asarray(xys, dtype=np.float64)
         ax, ay = xy[:-1, 0], xy[:-1, 1]
         bx, by = xy[1:, 0], xy[1:, 1]
@@ -102,16 +99,6 @@ def find_crossings(
                     min_angle_deg=gate.min_angle_deg,
                     max_angle_deg=gate.max_angle_deg,
                 ):
-                    if i - last_hit > 1:
-                        events.append(
-                            CrossingEvent(gate=gate.name, index=i, time_s=times[i])
-                        )
-                    last_hit = i
-    else:
-        for gate in gates:
-            last_hit = -10
-            for i in range(len(xys) - 1):
-                if gate.crossed_by(xys[i], xys[i + 1]):
                     if i - last_hit > 1:
                         events.append(
                             CrossingEvent(gate=gate.name, index=i, time_s=times[i])

@@ -25,8 +25,6 @@ _ROUTE_SOURCE_COUNTERS = (
     ("cache", "routing.route_cache_hits"),
     ("ch", "routing.ch_query_calls"),
     ("dijkstra", "routing.dijkstra_calls"),
-    ("astar", "routing.astar_calls"),
-    ("bidirectional", "routing.bidirectional_calls"),
 )
 
 
@@ -67,8 +65,8 @@ class MatchOutcome:
     #: identical for serial and parallel runs.
     elapsed_s: float = 0.0
     #: Where gap-fill answers came from: ``"cache"``/``"ch"``/
-    #: ``"dijkstra"``/... joined with ``+`` when mixed, ``"none"`` when
-    #: no shortest-path query was needed.
+    #: ``"dijkstra"``, joined with ``+`` when mixed, ``"none"`` when no
+    #: shortest-path query was needed.
     route_source: str = "none"
 
 

@@ -1,10 +1,11 @@
 """Shortest paths on the road graph — the pgRouting substitute.
 
 The paper uses pgRouting's Dijkstra to fill map-matching gaps; this module
-provides Dijkstra (with distance or free-flow travel-time weights) and an
-A* variant with an admissible straight-line heuristic, plus a
+provides Dijkstra (with distance or free-flow travel-time weights), a
 :class:`RouteCache` so hot gap-fill queries (many trips drive the same
-network gaps) are answered without re-running Dijkstra.
+network gaps) are answered without re-running Dijkstra, and the
+:class:`RouteBatch` planner that hands many queries to a contraction
+hierarchy at once.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ WeightFn = Callable[[RoadEdge], float]
 #: Selectable routing engines (the CLI's ``--routing-engine`` choices).
 #: ``dijkstra`` is the default everywhere; ``ch`` needs a prepared
 #: :class:`~repro.roadnet.ch.CHEngine` (see :func:`make_routing_engine`).
-ROUTING_ENGINES = ("dijkstra", "astar", "bidirectional", "ch")
-
-#: Upper bound on road speed used to keep the A* time heuristic admissible.
-MAX_SPEED_KMH = 120.0
+ROUTING_ENGINES = ("dijkstra", "ch")
 
 
 @dataclass(frozen=True)
@@ -377,16 +375,13 @@ def make_routing_engine(
     """Resolve an engine name into the ``engine`` argument of
     :func:`cached_shortest_path`.
 
-    ``None``/``"dijkstra"`` resolve to ``None`` (the flat default);
-    ``"astar"``/``"bidirectional"`` pass through as names; ``"ch"``
+    ``None``/``"dijkstra"`` resolve to ``None`` (flat Dijkstra); ``"ch"``
     prepares a :class:`~repro.roadnet.ch.CHEngine` for ``graph`` — or
     loads ``ch_artifact`` when it exists and matches the requested
     weight, which is how pool workers skip re-contracting.
     """
     if name is None or name == "dijkstra":
         return None
-    if name in ("astar", "bidirectional"):
-        return name
     if name == "ch":
         from repro.roadnet.ch import load_ch, prepare_ch
 
@@ -407,19 +402,10 @@ def _engine_shortest_path(
     weight: Weight,
     engine,
 ) -> PathResult:
-    """Dispatch one shortest-path query to the selected engine."""
-    if engine is None or engine == "dijkstra":
+    """One shortest-path query: flat Dijkstra, or the prepared engine."""
+    if engine is None:
         return shortest_path(graph, source, target, weight)
-    if engine == "astar":
-        return astar(graph, source, target, weight)
-    if engine == "bidirectional":
-        return bidirectional_dijkstra(graph, source, target, weight)
-    if isinstance(engine, str):
-        raise ValueError(
-            f"unknown routing engine {engine!r}; choose from {ROUTING_ENGINES} "
-            "(a 'ch' engine must be prepared via make_routing_engine)"
-        )
-    if getattr(engine, "weight", weight) != weight:
+    if engine.weight != weight:
         raise ValueError(
             f"routing engine prepared for weight={engine.weight!r}, "
             f"query asked for weight={weight!r}"
@@ -438,12 +424,12 @@ def cached_shortest_path(
     """:func:`shortest_path` through an optional :class:`RouteCache`.
 
     With ``cache=None`` and ``engine=None`` this is exactly
-    ``shortest_path`` (default one-way semantics).  ``engine`` selects
-    the algorithm answering cache misses — ``"astar"``,
-    ``"bidirectional"``, or a prepared :class:`~repro.roadnet.ch.CHEngine`
-    — all of which return optimal costs, so neither the cache nor the
-    engine can change how *good* an answer is, only how fast it arrives
-    (equal-cost ties may pick a different, equally short path).
+    ``shortest_path`` (default one-way semantics).  ``engine`` is a
+    prepared :class:`~repro.roadnet.ch.CHEngine` answering cache misses
+    instead of flat Dijkstra; both return optimal costs, so neither the
+    cache nor the engine can change how *good* an answer is, only how
+    fast it arrives (equal-cost ties may pick a different, equally short
+    path).
 
     Fault hook: an active :class:`~repro.faults.FaultPlan` with a
     ``route_error_rate`` raises an injected timeout for chosen
@@ -471,8 +457,8 @@ class RouteBatch:
     from the :class:`RouteCache` first, then resolves the misses through
     the engine's many-to-many kernel
     (:meth:`~repro.roadnet.ch.CHEngine.route_pairs`) when the engine has
-    one, falling back to a per-pair loop for the flat engines
-    (``dijkstra``/``astar``/``bidirectional``).  Every answer is the
+    one, falling back to a per-pair loop otherwise (flat Dijkstra, or an
+    engine that only answers point-to-point).  Every answer is the
     engine's own :class:`PathResult`, so resolving through a batch is
     bitwise-identical to resolving pair by pair.
 
@@ -504,7 +490,7 @@ class RouteBatch:
     @property
     def supports_many(self) -> bool:
         """Whether the engine answers batches natively (duck-typed so the
-        ``ch`` package never has to be imported for flat engines)."""
+        ``ch`` package never has to be imported for flat Dijkstra)."""
         return callable(getattr(self.engine, "route_pairs", None))
 
     def resolve(
@@ -554,17 +540,17 @@ class RouteBatch:
         need distances (HMM transition scores).  Cache hits answer
         first.  Engines with a many-to-many kernel resolve the misses
         through ``route_pairs``, and the full paths are cached so later
-        gap-fill queries over the same endpoints hit.  Flat engines
-        degrade to **one multi-target Dijkstra per unique miss source**
-        instead of one search per pair, bounded by ``max_costs[source]``
-        when given; pairs whose optimal cost exceeds the source's bound
-        come back as ``inf`` and are *not* cached (the bound makes them
-        unproven, not unreachable).  Bounded-search paths are cached only
-        for the default engine, where the reconstructed
-        :class:`PathResult` is identical to what
-        :func:`cached_shortest_path` would store — with ``astar`` /
-        ``bidirectional`` selected, caching Dijkstra paths could flip
-        equal-cost tie-breaks in later per-pair queries.
+        gap-fill queries over the same endpoints hit.  Otherwise the
+        misses degrade to **one multi-target Dijkstra per unique miss
+        source** instead of one search per pair, bounded by
+        ``max_costs[source]`` when given; pairs whose optimal cost exceeds
+        the source's bound come back as ``inf`` and are *not* cached (the
+        bound makes them unproven, not unreachable).  Bounded-search paths
+        are cached only with flat Dijkstra as the engine, where the
+        reconstructed :class:`PathResult` is identical to what
+        :func:`cached_shortest_path` would store — behind any other
+        engine, caching Dijkstra paths could flip equal-cost tie-breaks in
+        later per-pair queries.
         """
         unique = list(dict.fromkeys(pairs))
         registry = get_registry()
@@ -592,7 +578,7 @@ class RouteBatch:
         for s, t in misses:
             by_source.setdefault(s, []).append(t)
         bounds = max_costs or {}
-        cacheable = self.engine is None or self.engine == "dijkstra"
+        cacheable = self.engine is None
         found: dict[tuple[int, int], PathResult] = {}
         for s, targets in by_source.items():
             bound = bounds.get(s, math.inf)
@@ -612,157 +598,6 @@ class RouteBatch:
         if self.cache is not None and found:
             self.cache.put_many(found, self.weight)
         return costs
-
-
-def astar(
-    graph: RoadGraph,
-    source: int,
-    target: int,
-    weight: Weight = "length",
-    respect_oneway: bool = True,
-) -> PathResult:
-    """A* shortest path with a straight-line admissible heuristic."""
-    if source == target:
-        return PathResult(nodes=(source,), edges=(), cost=0.0)
-    tx, ty = graph.node(target).position
-
-    def h(node_id: int) -> float:
-        px, py = graph.node(node_id).position
-        d = math.hypot(px - tx, py - ty)
-        if weight == "length":
-            return d
-        return d / (MAX_SPEED_KMH / 3.6)
-
-    dist: dict[int, tuple[float, int | None, int | None]] = {source: (0.0, None, None)}
-    settled: set[int] = set()
-    heap: list[tuple[float, int]] = [(h(source), source)]
-    while heap:
-        __, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            break
-        g = dist[node][0]
-        for edge in graph.out_edges(node, respect_oneway):
-            other = edge.other(node)
-            if other in settled:
-                continue
-            new_cost = g + _edge_weight(edge, weight)
-            current = dist.get(other)
-            if current is None or new_cost < current[0]:
-                dist[other] = (new_cost, node, edge.edge_id)
-                heapq.heappush(heap, (new_cost + h(other), other))
-    registry = get_registry()
-    registry.counter("routing.astar_calls").inc()
-    registry.counter("routing.settled_nodes").inc(len(settled))
-    return _reconstruct(dist, source, target)
-
-
-def bidirectional_dijkstra(
-    graph: RoadGraph,
-    source: int,
-    target: int,
-    weight: Weight = "length",
-    respect_oneway: bool = True,
-) -> PathResult:
-    """Bidirectional Dijkstra: meets in the middle, same optimal cost.
-
-    Searches forward from ``source`` and backward from ``target``
-    (traversing edges against their allowed direction in the backward
-    frontier), stopping once the frontiers' combined radius exceeds the
-    best meeting cost.  Typically settles far fewer nodes than plain
-    Dijkstra on city-scale graphs.
-    """
-    if source == target:
-        return PathResult(nodes=(source,), edges=(), cost=0.0)
-
-    fwd_dist: dict[int, tuple[float, int | None, int | None]] = {source: (0.0, None, None)}
-    bwd_dist: dict[int, tuple[float, int | None, int | None]] = {target: (0.0, None, None)}
-    fwd_settled: set[int] = set()
-    bwd_settled: set[int] = set()
-    fwd_heap: list[tuple[float, int]] = [(0.0, source)]
-    bwd_heap: list[tuple[float, int]] = [(0.0, target)]
-    best_cost = math.inf
-    meeting: int | None = None
-
-    def relax(node: int, cost: float, dist, heap, backward: bool) -> None:
-        nonlocal best_cost, meeting
-        for edge in graph.out_edges(node, respect_oneway=False):
-            other = edge.other(node)
-            # Forward search needs node->other legal; backward search
-            # needs other->node legal (we walk the path in reverse).
-            entry = other if backward else node
-            if respect_oneway and not edge.allows(entry):
-                continue
-            new_cost = cost + _edge_weight(edge, weight)
-            current = dist.get(other)
-            if current is None or new_cost < current[0]:
-                dist[other] = (new_cost, node, edge.edge_id)
-                heapq.heappush(heap, (new_cost, other))
-
-    while fwd_heap or bwd_heap:
-        # Alternate by smaller frontier head.
-        use_fwd = bool(fwd_heap) and (
-            not bwd_heap or fwd_heap[0][0] <= bwd_heap[0][0]
-        )
-        if use_fwd:
-            cost, node = heapq.heappop(fwd_heap)
-            if node in fwd_settled:
-                continue
-            fwd_settled.add(node)
-            if node in bwd_dist:
-                total = cost + bwd_dist[node][0]
-                if total < best_cost:
-                    best_cost = total
-                    meeting = node
-            relax(node, cost, fwd_dist, fwd_heap, backward=False)
-        else:
-            cost, node = heapq.heappop(bwd_heap)
-            if node in bwd_settled:
-                continue
-            bwd_settled.add(node)
-            if node in fwd_dist:
-                total = cost + fwd_dist[node][0]
-                if total < best_cost:
-                    best_cost = total
-                    meeting = node
-            relax(node, cost, bwd_dist, bwd_heap, backward=True)
-        frontier = (fwd_heap[0][0] if fwd_heap else math.inf) + (
-            bwd_heap[0][0] if bwd_heap else math.inf
-        )
-        if frontier >= best_cost:
-            break
-
-    registry = get_registry()
-    registry.counter("routing.bidirectional_calls").inc()
-    registry.counter("routing.settled_nodes").inc(
-        len(fwd_settled) + len(bwd_settled)
-    )
-    if meeting is None:
-        return PathResult(nodes=(), edges=(), cost=math.inf)
-
-    # Stitch forward half and reversed backward half at the meeting node.
-    nodes: list[int] = []
-    edges: list[int] = []
-    node: int | None = meeting
-    while node is not None:
-        nodes.append(node)
-        __, prev_node, prev_edge = fwd_dist[node]
-        if prev_edge is not None:
-            edges.append(prev_edge)
-        node = prev_node
-    nodes.reverse()
-    edges.reverse()
-    node = meeting
-    while True:
-        __, next_node, next_edge = bwd_dist[node]
-        if next_edge is None:
-            break
-        edges.append(next_edge)
-        nodes.append(next_node)
-        node = next_node
-    return PathResult(nodes=tuple(nodes), edges=tuple(edges), cost=best_cost)
 
 
 def shortest_path_geometry(graph: RoadGraph, path: PathResult) -> LineString | None:

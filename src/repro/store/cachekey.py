@@ -55,10 +55,9 @@ STAGE_FIELDS: dict[str, tuple[str, ...]] = {
 #: The lint accepts a field here as covered; keep the reasons honest.
 EXCLUDED_FIELDS: dict[str, str] = {
     "fleet": "captured by the input shard bytes every key already hashes",
-    "executor": "scheduling only; serial/parallel byte-identity is enforced "
-                "by tests, and the vectorized kernels (cleaning/candidate "
-                "batch, batched gap-fill, vectorized Viterbi) are "
-                "bitwise-equivalent to their scalar references",
+    "executor": "scheduling, caching and the routing engine only; "
+                "serial/parallel byte-identity is enforced by tests, and "
+                "both engines return optimal-cost routes",
     "store": "where artefacts live, not what they contain",
     "grid": "consumed only by the orchestrator fold (grid replay, Table 5); "
             "no shard artefact depends on it",

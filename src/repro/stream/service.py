@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.cleaning import CleaningPipeline, CleanResult
 from repro.cleaning.filters import filter_segments
@@ -41,7 +41,7 @@ from repro.faults.errors import ADVISORY_KINDS
 from repro.features import GridAccumulator, cell_feature_counts
 from repro.features.grid import CellStats
 from repro.features.routestats import RouteStats, transition_route_stats
-from repro.matching import HmmMatcher, IncrementalMatcher, MatcherState
+from repro.matching import IncrementalMatcher, MatcherState, make_matcher
 from repro.obs import (
     MetricsRegistry,
     RunContext,
@@ -75,7 +75,7 @@ class StreamConfig:
     #: The study parameters the stream must reproduce exactly (city,
     #: grid, transition, matcher, robustness, faults).  The executor's
     #: pool settings are ignored — streaming folds are inherently serial
-    #: — but its vectorize/routing switches apply.
+    #: — but its routing engine and route cache apply.
     study: StudyConfig = field(default_factory=StudyConfig)
     #: Input path (CSV, growing CSV, or fifo) for :func:`open_source`.
     input: str | None = None
@@ -103,8 +103,19 @@ class StreamConfig:
             raise ValueError("checkpoint_every requires checkpoint_dir")
 
     def fingerprint(self) -> str:
-        """Identity of everything that shapes artefacts (resume guard)."""
-        return repr((self.study, self.window_s, self.live_match))
+        """Identity of everything that shapes artefacts (resume guard).
+
+        ``study.executor`` is left out, as the shard store's cache keys
+        leave it out (``repro.store.cachekey.EXCLUDED_FIELDS``): pool and
+        cache settings do not change what the fold computes, so a
+        checkpoint resumes under any of them.
+        """
+        study = [
+            (f.name, getattr(self.study, f.name))
+            for f in fields(self.study)
+            if f.name != "executor"
+        ]
+        return repr((study, self.window_s, self.live_match))
 
 
 @dataclass
@@ -234,13 +245,9 @@ class StreamService:
         self._to_xy = to_xy
         self._gates = study_gates(self.city)
         self._extractor = TransitionExtractor(
-            self._gates, self.city.central_area, study.transition,
-            vectorized=study.executor.vectorized,
+            self._gates, self.city.central_area, study.transition
         )
-        self._pipeline = CleaningPipeline(
-            vectorized=study.executor.vectorized,
-            robustness=study.robustness,
-        )
+        self._pipeline = CleaningPipeline(robustness=study.robustness)
         self._route_cache = RouteCache(
             study.executor.route_cache_size,
             study.executor.route_cache_path,
@@ -248,28 +255,11 @@ class StreamService:
         engine = make_routing_engine(
             self.city.graph,
             study.executor.routing_engine,
-            weight="length",
             ch_artifact=study.executor.ch_artifact_path,
         )
-        if study.matcher == "hmm":
-            self._matcher = HmmMatcher(
-                self.city.graph, route_cache=self._route_cache,
-                routing_engine=engine,
-                vectorized=study.executor.vectorized,
-                batch_routing=study.executor.batch_routing,
-                vectorized_viterbi=study.executor.vectorized_viterbi,
-            )
-        else:
-            self._matcher = IncrementalMatcher(
-                self.city.graph, route_cache=self._route_cache,
-                routing_engine=engine,
-                vectorized=study.executor.vectorized,
-                batch_routing=study.executor.batch_routing,
-            )
+        self._matcher = make_matcher(self.city.graph, study.matcher, self._route_cache, engine)
         #: Dedicated live matcher (feed-only; no gap fill, no counters).
-        self._live_matcher = IncrementalMatcher(
-            self.city.graph, vectorized=study.executor.vectorized
-        )
+        self._live_matcher = IncrementalMatcher(self.city.graph)
         self._checkpoints = (
             CheckpointStore(self.config.checkpoint_dir)
             if self.config.checkpoint_dir is not None else None

@@ -3,8 +3,8 @@
 The batch layer is pure mechanism — ``route_matrix``/``route_pairs``
 must answer exactly what repeated ``shortest_path`` calls would, the
 ``RouteBatch`` planner and cache batching must never change a result,
-and a study run with batching on must produce byte-identical artefacts
-to one with batching off, serial or parallel.
+and gap fill batched through a CH engine must produce byte-identical
+artefacts to per-gap CH queries, serial or parallel.
 """
 
 from __future__ import annotations
@@ -55,6 +55,19 @@ def study_fingerprint(result) -> tuple:
         tuple(result.kept_transitions),
         cells,
     )
+
+
+class PointToPoint:
+    """A prepared engine seen through its point-to-point interface only.
+
+    Exposes ``weight`` and ``shortest_path`` but no ``route_pairs``, so
+    :attr:`RouteBatch.supports_many` is false and gap fill queries the
+    engine gap by gap.
+    """
+
+    def __init__(self, engine) -> None:
+        self.weight = engine.weight
+        self.shortest_path = engine.shortest_path
 
 
 def sample_endpoints(graph, seed: int, k: int = 5) -> list[int]:
@@ -129,7 +142,7 @@ class TestRouteBatch:
         graph = build_random_city(11, oneway_fraction=0.3)
         ids = sorted(node.node_id for node in graph.nodes())
         pairs = [(ids[0], ids[-1]), (ids[1], ids[-2]), (ids[0], ids[-1])]
-        for engine in (None, "astar", "bidirectional"):
+        for engine in (None, PointToPoint(prepare_ch(graph, weight="length"))):
             batch = RouteBatch(graph, weight="length", engine=engine)
             assert not batch.supports_many
             resolved = batch.resolve(pairs)
@@ -214,7 +227,7 @@ class TestRouteCacheBatch:
             assert registry.gauge("routing.route_cache_hit_rate").value == 0.5
 
 
-# -- gap-fill batch on/off identity ------------------------------------------
+# -- batched vs per-gap gap-fill identity ------------------------------------
 
 
 class TestGapfillBatchIdentity:
@@ -223,10 +236,10 @@ class TestGapfillBatchIdentity:
     ):
         engine = prepare_ch(city.graph, weight="length")
         matchers = {
-            flag: IncrementalMatcher(
-                city.graph, routing_engine=engine, batch_routing=flag
-            )
-            for flag in (True, False)
+            True: IncrementalMatcher(city.graph, routing_engine=engine),
+            False: IncrementalMatcher(
+                city.graph, routing_engine=PointToPoint(engine)
+            ),
         }
         segments = clean_result.segments[:15]
         compared = 0
@@ -355,24 +368,23 @@ def _hash_tree(root) -> dict:
 
 
 class TestStudyBatchEquivalence:
-    def test_batch_on_off_serial_parallel_byte_identity(self, tmp_path):
+    def test_batch_on_off_serial_parallel_byte_identity(self, tmp_path, monkeypatch):
         """Batching must never change what a study computes.
 
-        Four runs of the same small study — serial/batched,
-        serial/unbatched, parallel/batched — share one CH artifact; the
+        Three runs of the same small study — serial/batched,
+        serial/per-gap, parallel/batched — share one CH artifact; the
         serial pair also persists store shards so the on-disk bytes can
         be compared directly.
         """
         artifact = str(tmp_path / "oulu_ch.npz")
 
-        def run(batch: bool, workers: int, store_dir=None):
+        def run(workers: int, store_dir=None):
             config = StudyConfig(
                 fleet=FleetSpec(n_days=2, seed=7),
                 executor=ExecutorConfig(
                     workers=workers,
                     routing_engine="ch",
                     ch_artifact_path=artifact,
-                    batch_routing=batch,
                 ),
                 store=(
                     StoreConfig(dir=str(store_dir))
@@ -382,9 +394,11 @@ class TestStudyBatchEquivalence:
             )
             return OuluStudy(config).run()
 
-        on = run(True, 0, tmp_path / "store_on")
-        off = run(False, 0, tmp_path / "store_off")
-        par = run(True, 2)
+        on = run(0, tmp_path / "store_on")
+        par = run(2)
+        # Per-gap: the engine's many-to-many kernel is hidden from gap fill.
+        monkeypatch.setattr(RouteBatch, "supports_many", property(lambda self: False))
+        off = run(0, tmp_path / "store_off")
 
         assert study_fingerprint(on) == study_fingerprint(off)
         assert study_fingerprint(on) == study_fingerprint(par)

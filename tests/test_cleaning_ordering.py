@@ -74,6 +74,11 @@ class TestRepairOrdering:
         __, report = repair_ordering(trip)
         assert report.distance_by_time_m < report.distance_by_id_m
         assert report.saved_m > 0
+        # Batched sums may differ from a point-by-point walk in the last ulp.
+        by_id = sorted(trip.points, key=lambda p: p.point_id)
+        by_time = sorted(trip.points, key=lambda p: p.time_s)
+        assert report.distance_by_id_m == pytest.approx(trip_distance_m(by_id), rel=1e-12)
+        assert report.distance_by_time_m == pytest.approx(trip_distance_m(by_time), rel=1e-12)
 
     def test_output_monotonic_in_both_keys(self):
         trip = corrupt_ids(straight_trip(), swaps=4, seed=4)

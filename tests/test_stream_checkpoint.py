@@ -18,6 +18,7 @@ raw per-cell speeds), and the fingerprints — floats rendered as
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro.stream.checkpoint as checkpoint_module
+from repro.parallel import ExecutorConfig
 from repro.stream import (
     CheckpointStore,
     StreamConfig,
@@ -141,8 +143,9 @@ class TestHardKill:
     ):
         """The chaos path: ``kill_chunk={"stream": 2}`` hard-exits the
         process right after checkpoint 2; rerunning the *same* command
-        (plan included — the resume guard fingerprints the full config,
-        and the kill cannot refire: the sequence continues past 2)
+        (plan included — the resume guard fingerprints the study config
+        except its executor, and the kill cannot refire: the sequence
+        continues past 2)
         resumes and must write the artefacts of an uninterrupted serve.
         """
         config, path, __ = stream_case
@@ -195,6 +198,17 @@ class TestResumeSafety:
         other = make_config(config, path, tmp_path, window_s=3600.0)
         with pytest.raises(ValueError, match="refusing to resume"):
             StreamService(other).run()
+
+    def test_pool_settings_change_still_resumes(self, stream_case, tmp_path):
+        """Executor settings do not shape artefacts, so a checkpoint
+        written serially resumes under ``--workers 2``."""
+        config, path, baseline = stream_case
+        sc = make_config(config, path, tmp_path)
+        assert StreamService(sc).run(stop_after_checkpoints=2) is None
+        pooled = dataclasses.replace(config, executor=ExecutorConfig(workers=2))
+        resumed = StreamService(make_config(pooled, path, tmp_path)).run()
+        assert resumed.metrics["counters"]["stream.resumes"] == 1
+        assert stream_fingerprint(resumed) == baseline
 
     def test_wrong_schema_version_is_refused(
         self, stream_case, tmp_path, monkeypatch

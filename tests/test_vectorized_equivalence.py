@@ -1,33 +1,55 @@
-"""Scalar vs vectorized pipeline equivalence — the fast path's contract.
+"""Batch kernels vs their scalar oracles — the fast path's contract.
 
-Every ``vectorized=True`` code path must produce exactly the scalar
-reference results: same segment splits and rule firings, same ordering
-choice and repaired sequence, same gate-crossing events, same scored
-candidates in the same order, and — end to end — the same study
-artefacts.  These tests are what lets the batch kernels default on.
+Every NumPy kernel in ``src/repro`` must produce exactly what its scalar
+reference in ``tests/oracles`` produces: same segment splits and rule
+firings, same ordering choice and repaired sequence, same gate-crossing
+events, same scored candidates in the same order, and — end to end, with
+the oracles monkeypatched into the pipeline — the same study artefacts.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cleaning import pipeline as pipeline_module
 from repro.cleaning.ordering import repair_ordering
 from repro.cleaning.segmentation import segment_trip
 from repro.experiments import OuluStudy, StudyConfig
 from repro.matching import IncrementalMatcher
+from repro.matching import hmm as hmm_module
+from repro.matching import incremental as incremental_module
 from repro.matching.candidates import (
     CandidateConfig,
     candidates_for_point,
     candidates_for_points,
 )
+from repro.od import transitions as transitions_module
 from repro.od.gates import find_crossings
 from repro.od.transitions import TransitionExtractor
-from repro.parallel import ExecutorConfig, study_gates
+from repro.parallel import study_gates
+from repro.stream.compare import study_fingerprint
 from repro.traces import FleetSpec
 from repro.traces.model import RoutePoint, Trip
+from tests.oracles import candidates as candidates_oracle
+from tests.oracles import cleaning as cleaning_oracle
+from tests.oracles import gates as gates_oracle
+
+
+def patch_oracles(monkeypatch) -> None:
+    """Route the pipeline's cleaning, gate and candidate kernels through
+    the scalar oracles (matching and gap fill stay as they are)."""
+    monkeypatch.setattr(pipeline_module, "repair_ordering", cleaning_oracle.repair_ordering)
+    monkeypatch.setattr(pipeline_module, "segment_trip", cleaning_oracle.segment_trip)
+    monkeypatch.setattr(transitions_module, "find_crossings", gates_oracle.find_crossings)
+    for module in (incremental_module, hmm_module):
+        monkeypatch.setattr(
+            module, "candidates_for_points", candidates_oracle.candidates_for_points
+        )
 
 
 # -- random-trip strategy ----------------------------------------------------
@@ -52,8 +74,8 @@ class TestSegmentationEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=150, deadline=None)
     def test_same_segments_and_rule_hits(self, trip):
-        scalar_segments, scalar_report = segment_trip(trip)
-        vec_segments, vec_report = segment_trip(trip, vectorized=True)
+        scalar_segments, scalar_report = cleaning_oracle.segment_trip(trip)
+        vec_segments, vec_report = segment_trip(trip)
         assert scalar_report.rule_hits == vec_report.rule_hits
         assert scalar_report.segments_created == vec_report.segments_created
         assert [(s.segment_id, s.trip_id, s.car_id, s.index) for s in scalar_segments] \
@@ -63,12 +85,12 @@ class TestSegmentationEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=50, deadline=None)
     def test_seeded_distance_cache_matches_scalar_walk(self, trip):
-        scalar_segments, __ = segment_trip(trip)
-        vec_segments, __ = segment_trip(trip, vectorized=True)
+        scalar_segments, __ = cleaning_oracle.segment_trip(trip)
+        vec_segments, __ = segment_trip(trip)
         for s, v in zip(scalar_segments, vec_segments):
-            # The vectorized path seeds the memo from its gap arrays; the
-            # scalar property walks the points.  Same hops, summed in a
-            # different association — equal to float accumulation noise.
+            # segment_trip seeds the memo from its gap arrays; the oracle's
+            # segments walk the points.  Same hops, summed in a different
+            # association — equal to float accumulation noise.
             assert abs(s.distance_m - v.distance_m) <= 1e-6 * max(1.0, s.distance_m)
 
 
@@ -76,8 +98,8 @@ class TestOrderingEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=150, deadline=None)
     def test_same_choice_and_repaired_sequence(self, trip):
-        scalar_trip, scalar_report = repair_ordering(trip)
-        vec_trip, vec_report = repair_ordering(trip, vectorized=True)
+        scalar_trip, scalar_report = cleaning_oracle.repair_ordering(trip)
+        vec_trip, vec_report = repair_ordering(trip)
         assert scalar_trip.points == vec_trip.points
         assert scalar_report.chosen == vec_report.chosen
         assert scalar_report.was_consistent == vec_report.was_consistent
@@ -101,14 +123,14 @@ class TestGateCrossingEquivalence:
                 t += rng.uniform(1, 30)
                 xys.append((x, y))
                 times.append(t)
-            scalar = find_crossings(xys, times, gates)
-            vectorized = find_crossings(xys, times, gates, vectorized=True)
+            scalar = gates_oracle.find_crossings(xys, times, gates)
+            vectorized = find_crossings(xys, times, gates)
             assert scalar == vectorized
 
     def test_empty_inputs(self, city):
         gates = study_gates(city)
-        assert find_crossings([], [], gates, vectorized=True) == []
-        assert find_crossings([(0.0, 0.0)], [0.0], gates, vectorized=True) == []
+        assert find_crossings([], [], gates) == []
+        assert find_crossings([(0.0, 0.0)], [0.0], gates) == []
 
 
 class TestCandidateEquivalence:
@@ -130,13 +152,17 @@ class TestCandidateEquivalence:
         batch = candidates_for_points(graph, xys, movements, config)
         assert len(batch) == len(xys)
         for xy, movement, batch_cands in zip(xys, movements, batch):
-            scalar_cands = candidates_for_point(graph, xy, movement, config)
+            scalar_cands = candidates_oracle.candidates_for_point(graph, xy, movement, config)
+            single_cands = candidates_for_point(graph, xy, movement, config)
             assert [
                 (c.edge.edge_id, c.arc_m, c.snapped_xy, c.distance_m, c.score)
                 for c in scalar_cands
             ] == [
                 (c.edge.edge_id, c.arc_m, c.snapped_xy, c.distance_m, c.score)
                 for c in batch_cands
+            ] == [
+                (c.edge.edge_id, c.arc_m, c.snapped_xy, c.distance_m, c.score)
+                for c in single_cands
             ]
 
     def test_ranking_tie_break_is_total_order(self, city):
@@ -156,15 +182,14 @@ class TestCandidateEquivalence:
 
 
 class TestExtractionEquivalence:
-    def test_funnel_and_events_match_on_cleaned_segments(self, city, clean_result, to_xy):
+    def test_funnel_and_events_match_on_cleaned_segments(
+        self, city, clean_result, to_xy, monkeypatch
+    ):
         gates = study_gates(city)
         segments = clean_result.segments[:150]
-        scalar = TransitionExtractor(
-            gates, city.central_area, vectorized=False
-        ).extract(segments, to_xy)
-        vectorized = TransitionExtractor(
-            gates, city.central_area, vectorized=True
-        ).extract(segments, to_xy)
+        vectorized = TransitionExtractor(gates, city.central_area).extract(segments, to_xy)
+        monkeypatch.setattr(transitions_module, "find_crossings", gates_oracle.find_crossings)
+        scalar = TransitionExtractor(gates, city.central_area).extract(segments, to_xy)
         assert scalar.funnel == vectorized.funnel
         assert len(scalar.transitions) == len(vectorized.transitions)
         for s, v in zip(scalar.transitions, vectorized.transitions):
@@ -174,14 +199,21 @@ class TestExtractionEquivalence:
 
 
 class TestMatcherEquivalence:
-    def test_incremental_matcher_same_routes(self, city, clean_result, to_xy):
+    def test_incremental_matcher_same_routes(self, city, clean_result, to_xy, monkeypatch):
         segments = [s for s in clean_result.segments if len(s.points) >= 8][:20]
-        scalar_matcher = IncrementalMatcher(city.graph, vectorized=False)
-        vec_matcher = IncrementalMatcher(city.graph, vectorized=True)
         assert segments, "fixture produced no matchable segments"
-        for seg in segments:
-            scalar_route = scalar_matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
-            vec_route = vec_matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
+        matcher = IncrementalMatcher(city.graph)
+        vec_routes = [
+            matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
+            for seg in segments
+        ]
+        monkeypatch.setattr(
+            incremental_module, "candidates_for_points",
+            candidates_oracle.candidates_for_points,
+        )
+        matcher = IncrementalMatcher(city.graph)
+        for seg, vec_route in zip(segments, vec_routes):
+            scalar_route = matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
             if scalar_route is None:
                 assert vec_route is None
                 continue
@@ -192,25 +224,27 @@ class TestMatcherEquivalence:
 
 
 class TestStudyEquivalence:
-    def test_vectorized_study_reproduces_scalar_artefacts(self):
-        def run(vectorized: bool):
-            config = StudyConfig(
-                fleet=FleetSpec(n_days=2, seed=7),
-                executor=ExecutorConfig(vectorized=vectorized),
-            )
-            return OuluStudy(config).run()
-
-        scalar = run(False)
-        vectorized = run(True)
+    def test_vectorized_study_reproduces_scalar_artefacts(self, monkeypatch):
+        config = StudyConfig(fleet=FleetSpec(n_days=2, seed=7))
+        vectorized = OuluStudy(config).run()
+        patch_oracles(monkeypatch)
+        scalar = OuluStudy(config).run()
+        fp_scalar = study_fingerprint(scalar)
+        fp_vectorized = study_fingerprint(vectorized)
+        # The ordering repair's distance sums (summed into the report's
+        # reordering_saved_m) may differ in the last ulp; the ordering
+        # chosen, and everything downstream of it, may not.
+        report_scalar = json.loads(fp_scalar.pop("clean_report"))
+        report_vectorized = json.loads(fp_vectorized.pop("clean_report"))
+        saved_scalar = float.fromhex(report_scalar.pop("reordering_saved_m"))
+        saved_vectorized = float.fromhex(report_vectorized.pop("reordering_saved_m"))
+        assert saved_scalar == pytest.approx(saved_vectorized, rel=1e-12)
+        assert report_scalar == report_vectorized
+        assert fp_scalar == fp_vectorized
         assert [s.segment_id for s in scalar.clean.segments] == [
             s.segment_id for s in vectorized.clean.segments
         ]
-        assert scalar.clean.report.segmentation.rule_hits \
-            == vectorized.clean.report.segmentation.rule_hits
-        assert scalar.funnel == vectorized.funnel
         assert scalar.kept_transitions == vectorized.kept_transitions
         assert sorted(scalar.matched) == sorted(vectorized.matched)
         for index, route in scalar.matched.items():
             assert route.edge_sequence == vectorized.matched[index].edge_sequence
-        assert scalar.route_stats == vectorized.route_stats
-        assert scalar.cell_features == vectorized.cell_features

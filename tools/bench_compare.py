@@ -69,27 +69,6 @@ RATIO_GATES = [
         "limit": 0.25,
     },
     {
-        # Trip-level gap batches are tiny and cache-collapsed, so
-        # batched gap-fill is a parity play: guard that the planner's
-        # collect/resolve machinery stays within noise of the per-gap
-        # loop (measured ~1.0-1.2 interleaved).
-        "name": "batched gap-fill parity",
-        "bench": "test_gapfill_batched_vs_pergap",
-        "key": "gapfill_batch_ratio",
-        "limit": 1.4,
-    },
-    {
-        # The vectorized Viterbi decode (NumPy forward pass + one
-        # many-to-many transition-distance batch per trip, CH engine)
-        # must stay >= 4x faster than the scalar reference decode with
-        # its per-candidate capped Dijkstras (measured ~0.2
-        # interleaved).
-        "name": "vectorized Viterbi speedup",
-        "bench": "test_perf_hmm_matcher",
-        "key": "hmm_viterbi_ratio",
-        "limit": 0.25,
-    },
-    {
         # Micro-batch streaming folds the identical stage functions one
         # trip at a time; per-row ingest and open-trip bookkeeping must
         # stay within 1.5x of the batch fold on the same CSV (measured

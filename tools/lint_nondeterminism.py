@@ -13,7 +13,7 @@ line.  Everything else fails this check:
 
     python tools/lint_nondeterminism.py
 
-Run by the CI lint job next to ruff and lint_scalar_kernels.
+Run by the CI lint job next to ruff and lint_cache_keys.
 """
 
 from __future__ import annotations
