@@ -4,10 +4,11 @@ traces: from raw data to information discovery" (ICDE 2022).
 The package rebuilds the paper's full pipeline on synthetic substrates:
 
 * :mod:`repro.geo` — geodesy and planar geometry;
-* :mod:`repro.store` — an embedded geospatial table store (PostGIS
-  substitute);
-* :mod:`repro.roadnet` — the Digiroad-style map database, map
-  preparation, routing, and the synthetic downtown-Oulu generator;
+* :mod:`repro.store` — the sharded, content-addressed study store that
+  recomputes only dirty (city, day) shards on a rerun;
+* :mod:`repro.roadnet` — the Digiroad-style map database (PostGIS
+  substitute), map preparation, routing, and the synthetic downtown-Oulu
+  generator;
 * :mod:`repro.traces` — the taxi fleet simulator (Driveco substitute) and
   trace data model;
 * :mod:`repro.cleaning` — ordering repair, filters and Table 2

@@ -145,46 +145,3 @@ class GridIndex(Generic[T]):
                             seen[item] = None
             out.append(list(seen))
         return out
-
-    def nearest(self, p: Point, max_radius: float = math.inf) -> T | None:
-        """Item whose bounding box is nearest to ``p`` (box distance).
-
-        Searches expanding rings of cells; returns None if nothing is found
-        within ``max_radius``.
-        """
-        if not self._boxes:
-            return None
-        ring = 0
-        best: T | None = None
-        best_d = math.inf
-        ci, cj = self._key(p[0], p[1])
-        max_ring = int(math.ceil(min(max_radius, 1e12) / self.cell_size)) + 1
-        while ring <= max_ring:
-            found_any = False
-            for i in range(ci - ring, ci + ring + 1):
-                for j in range(cj - ring, cj + ring + 1):
-                    if max(abs(i - ci), abs(j - cj)) != ring:
-                        continue
-                    for item in self._cells.get((i, j), ()):
-                        found_any = True
-                        d = self._box_distance(p, self._boxes[item])
-                        if d < best_d:
-                            best_d = d
-                            best = item
-            # Once something is found, one extra ring suffices: anything
-            # farther out is at least (ring-1)*cell_size away.
-            if best is not None and best_d <= (ring - 1) * self.cell_size:
-                break
-            if found_any and best is not None and ring > 0:
-                break
-            ring += 1
-        if best is not None and best_d <= max_radius:
-            return best
-        return None
-
-    @staticmethod
-    def _box_distance(p: Point, box: tuple[float, float, float, float]) -> float:
-        x0, y0, x1, y1 = box
-        dx = max(x0 - p[0], 0.0, p[0] - x1)
-        dy = max(y0 - p[1], 0.0, p[1] - y1)
-        return math.hypot(dx, dy)

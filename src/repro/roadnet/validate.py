@@ -99,7 +99,9 @@ def validate_map(map_db: MapDatabase, graph: RoadGraph) -> MapValidationReport:
         n_nodes=graph.node_count,
     )
 
+    element_ids = set()
     for element in map_db.elements():
+        element_ids.add(element.element_id)
         if element.length_m < MIN_ELEMENT_LENGTH_M:
             report.issues.append(
                 MapIssue("degenerate_element", element.element_id,
@@ -120,7 +122,7 @@ def validate_map(map_db: MapDatabase, graph: RoadGraph) -> MapValidationReport:
                          f"{obj.kind.value} farther than "
                          f"{OBJECT_ATTACH_RADIUS_M:.0f} m from any element")
             )
-        if obj.element_id is not None and map_db._elements.get_or_none(obj.element_id) is None:
+        if obj.element_id is not None and obj.element_id not in element_ids:
             report.issues.append(
                 MapIssue("dangling_object_reference", obj.object_id,
                          f"references missing element {obj.element_id}")

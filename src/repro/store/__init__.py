@@ -1,25 +1,20 @@
-"""Embedded typed table store — the pipeline's PostgreSQL/PostGIS substitute.
+"""Sharded, content-addressed artefact store behind ``repro study``.
 
-The paper stores trips, route points and the road-network graph in
-PostgreSQL 9.1 with PostGIS, and manipulates them with SQL/PLpgSQL.  This
-package provides the same logical capabilities in pure Python:
+The store makes study reruns incremental: inputs are sharded by
+(city, day), each shard's stage outputs are persisted under a content
+key, and a rerun recomputes only the shards whose key changed.
 
-* :class:`~repro.store.table.Table` — a typed, schema-validated row store
-  with per-column type checking and auto-increment primary keys;
-* :class:`~repro.store.index.HashIndex` / :class:`~repro.store.index.SortedIndex`
-  — equality and range indexes maintained incrementally;
-* :mod:`repro.store.query` — a small composable predicate/query layer
-  (select, where, order_by, aggregate);
-* :class:`~repro.store.spatial.SpatialColumn` — a PostGIS-style spatial
-  index over a geometry column (radius / box / nearest queries);
-* :class:`~repro.store.database.Database` — a named container of tables.
+* :class:`~repro.store.shards.ShardStore` — the on-disk artefact store
+  (atomic writes, mmap reads, corrupt-artefact recovery, LRU ``gc``);
+* :mod:`repro.store.cachekey` — content keys chaining shard input bytes,
+  the per-stage :class:`~repro.experiments.study.StudyConfig` slice and
+  the source-tree code version;
+* :class:`~repro.store.planner.StudyPlanner` (imported directly, not
+  re-exported — it pulls in the pipeline stages) — recomputes only dirty
+  shards and merges hits and recomputes into byte-identical artefacts.
 
-It also hosts the **sharded artefact store** behind ``repro study``'s
-delta recomputation: :class:`~repro.store.shards.ShardStore` persists
-per-(city, day) stage outputs content-addressed by
-:mod:`repro.store.cachekey`, and :class:`~repro.store.planner.StudyPlanner`
-(imported directly, not re-exported — it pulls in the pipeline stages)
-recomputes only dirty shards.
+The map data the paper keeps in PostGIS lives in
+:class:`~repro.roadnet.digiroad.MapDatabase`, not here.
 """
 
 from repro.store.cachekey import (
@@ -32,58 +27,19 @@ from repro.store.cachekey import (
     config_key,
     shard_input_hash,
 )
-from repro.store.database import Database
-from repro.store.index import HashIndex, SortedIndex
-from repro.store.query import (
-    Query,
-    and_,
-    between,
-    eq,
-    ge,
-    gt,
-    in_,
-    le,
-    lt,
-    ne,
-    not_,
-    or_,
-    where,
-)
 from repro.store.shards import ShardArtefact, ShardStore, StoreConfig, StoreError
-from repro.store.spatial import SpatialColumn
-from repro.store.table import Column, Row, Table
 
 __all__ = [
-    "Column",
-    "Database",
     "EXCLUDED_FIELDS",
-    "HashIndex",
-    "Query",
-    "Row",
     "STAGES",
     "STAGE_FIELDS",
     "ShardArtefact",
     "ShardStore",
-    "SortedIndex",
-    "SpatialColumn",
     "StoreConfig",
     "StoreError",
-    "Table",
     "canonical",
     "chain_key",
     "code_version",
     "config_key",
     "shard_input_hash",
-    "and_",
-    "between",
-    "eq",
-    "ge",
-    "gt",
-    "in_",
-    "le",
-    "lt",
-    "ne",
-    "not_",
-    "or_",
-    "where",
 ]

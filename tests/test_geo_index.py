@@ -84,28 +84,6 @@ class TestGridIndexBasics:
         assert idx._cells == {}
 
 
-class TestNearest:
-    def test_empty_returns_none(self):
-        assert GridIndex(100.0).nearest((0.0, 0.0)) is None
-
-    def test_nearest_point(self):
-        idx = GridIndex(100.0)
-        idx.insert_point("near", (10.0, 0.0))
-        idx.insert_point("far", (500.0, 0.0))
-        assert idx.nearest((0.0, 0.0)) == "near"
-
-    def test_nearest_respects_max_radius(self):
-        idx = GridIndex(100.0)
-        idx.insert_point("a", (500.0, 0.0))
-        assert idx.nearest((0.0, 0.0), max_radius=100.0) is None
-        assert idx.nearest((0.0, 0.0), max_radius=600.0) == "a"
-
-    def test_nearest_across_empty_rings(self):
-        idx = GridIndex(10.0)
-        idx.insert_point("a", (1000.0, 1000.0))
-        assert idx.nearest((0.0, 0.0)) == "a"
-
-
 class TestAgainstBruteForce:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -131,22 +109,3 @@ class TestAgainstBruteForce:
             p = points[i]
             assert abs(p[0] - centre[0]) <= radius + 1e-9
             assert abs(p[1] - centre[1]) <= radius + 1e-9
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_nearest_matches_brute_force_for_points(self, seed):
-        rng = random.Random(seed)
-        idx = GridIndex(80.0)
-        points = {}
-        for i in range(40):
-            p = (rng.uniform(-400, 400), rng.uniform(-400, 400))
-            points[i] = p
-            idx.insert_point(i, p)
-        q = (rng.uniform(-400, 400), rng.uniform(-400, 400))
-        got = idx.nearest(q)
-        best = min(points, key=lambda i: math.hypot(points[i][0] - q[0], points[i][1] - q[1]))
-        best_d = math.hypot(points[best][0] - q[0], points[best][1] - q[1])
-        got_d = math.hypot(points[got][0] - q[0], points[got][1] - q[1])
-        # The grid nearest uses box distance; for points it is exact up to
-        # ties within one cell ring.
-        assert got_d <= best_d + idx.cell_size
