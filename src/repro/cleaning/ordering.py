@@ -11,7 +11,7 @@ chosen sequence so both id and timestamp increase monotonically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +83,6 @@ def _realign(sequence: list[RoutePoint]) -> list[RoutePoint]:
     ids = sorted(p.point_id for p in sequence)
     times = sorted(p.time_s for p in sequence)
     return [
-        replace(p, point_id=pid, time_s=ts)
+        RoutePoint(pid, p.trip_id, p.lat, p.lon, ts, p.speed_kmh, p.fuel_ml)
         for p, pid, ts in zip(sequence, ids, times)
     ]

@@ -123,31 +123,27 @@ class ThickLine:
         move = (b[0] - a[0], b[1] - a[1])
         if move == (0.0, 0.0):
             return False
-        inside_a = self.contains(a)
-        inside_b = self.contains(b)
-        touches = inside_a or inside_b
-        arc = None
-        if inside_a:
-            __, arc, __ = self.line.project(a)
-        elif inside_b:
-            __, arc, __ = self.line.project(b)
-        if not touches:
+        arc = self._arc_inside(a)
+        if arc is None:
+            arc = self._arc_inside(b)
+        if arc is None:
             # Neither endpoint inside: check the true geometric crossing of
             # the capsule axis, then widen to the capsule by distance.
             hits = self.line.crossings(a, b)
             if hits:
-                touches = True
                 arc = hits[0][1]
             else:
-                mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-                if self.contains(mid):
-                    touches = True
-                    __, arc, __ = self.line.project(mid)
-        if not touches or arc is None:
+                arc = self._arc_inside(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
+        if arc is None:
             return False
         heading = self.line.heading_at(arc)
         ang = crossing_angle_deg(move, heading)
         return min_angle_deg <= ang <= max_angle_deg
+
+    def _arc_inside(self, p: Point) -> float | None:
+        """Axis arc position of ``p`` when it lies in the capsule, else None."""
+        __, arc, dist = self.line.project(p)
+        return arc if dist <= self.half_width else None
 
     def __repr__(self) -> str:
         return f"ThickLine({self.line!r}, half_width={self.half_width:.1f})"

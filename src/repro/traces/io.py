@@ -72,9 +72,9 @@ def parse_point_row(row: dict) -> RoutePoint:
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"parse_error: {exc}") from exc
-    if not (math.isfinite(point.lat) and math.isfinite(point.lon)
-            and math.isfinite(point.time_s)):
-        raise ValueError("non_finite: lat/lon/time must be finite")
+    if not all(map(math.isfinite, (point.lat, point.lon, point.time_s,
+                                   point.speed_kmh, point.fuel_ml))):
+        raise ValueError("non_finite: lat/lon/time/speed/fuel must be finite")
     return point
 
 

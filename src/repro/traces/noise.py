@@ -95,7 +95,7 @@ def _jitter(p: RoutePoint, sigma_m: float, rng: random.Random) -> RoutePoint:
     distance = abs(rng.gauss(0.0, sigma_m))
     bearing = rng.uniform(0.0, 360.0)
     lat, lon = destination_point(p.lat, p.lon, bearing, distance)
-    return replace(p, lat=lat, lon=lon)
+    return RoutePoint(p.point_id, p.trip_id, lat, lon, p.time_s, p.speed_kmh, p.fuel_ml)
 
 
 def reordering_damage(trip: Trip) -> int:

@@ -32,6 +32,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from repro.geo.geometry import Point, crossing_angle_deg
 from repro.geo.polygon import ThickLine
 from repro.roadnet.graph import RoadEdge
@@ -184,15 +186,12 @@ class CustomerRun:
     gates_crossed: tuple[str, ...]
 
 
-@dataclass
-class _Sample:
-    """One dense kinematic sample along a drive."""
+#: One dense kinematic sample along a drive: ``(x, y, t, v_kmh, fuel_ml)``.
+Sample = tuple[float, float, float, float, float]
 
-    x: float
-    y: float
-    t: float
-    v_kmh: float
-    fuel_ml: float
+#: An oriented edge's step table: ``(step_length, first_heading,
+#: last_heading, steps)``, see :meth:`TaxiFleetSimulator._edge_steps`.
+EdgeSteps = tuple[float, Point, Point, list[tuple]]
 
 
 class TaxiFleetSimulator:
@@ -202,7 +201,6 @@ class TaxiFleetSimulator:
         self.city = city
         self.spec = spec or FleetSpec()
         self.weather = RoadWeatherModel(seed=self.spec.seed)
-        self._rng = random.Random(self.spec.seed)
         self._furniture = self._collect_furniture()
         self._deadend_edges = self._collect_deadend_edges()
         self._region_nodes = self._classify_nodes()
@@ -210,11 +208,22 @@ class TaxiFleetSimulator:
             name: ThickLine(geom, city.spec.gate_half_width_m)
             for name, geom in city.gate_roads.items()
         }
+        self._gate_bounds = {name: gate.bounds() for name, gate in self._gates.items()}
+        # Expected route cost of each edge before route-choice noise:
+        # free-flow time plus 6 s per traffic light on it.
+        self._route_base = {
+            edge.edge_id: edge.travel_time_s + 6.0 * sum(
+                1
+                for __, kind, ___ in self._furniture.get(edge.edge_id, ())
+                if kind == "traffic_light"
+            )
+            for edge in city.graph.edges()
+        }
         start = datetime.strptime(self.spec.start_date, "%Y-%m-%d")
         self._start_s = start.replace(tzinfo=timezone.utc).timestamp()
         # Per-(edge, direction) kinematic step tables, built lazily: edges
         # are traversed thousands of times, their geometry never changes.
-        self._step_cache: dict[tuple[int, bool], tuple[float, list[tuple]]] = {}
+        self._step_cache: dict[tuple[int, bool], EdgeSteps] = {}
 
     # -- precomputation -----------------------------------------------------
 
@@ -227,13 +236,19 @@ class TaxiFleetSimulator:
         """
         spec = self.spec
         furniture: dict[int, list[tuple[float, str, float]]] = {}
-        for obj in self.city.map_db.point_objects():
+        objects = self.city.map_db.point_objects()
+        # Bounding-box candidates; the one projection per pair below is
+        # the exact distance test.
+        candidates = self.city.graph.edges_near_many(
+            [obj.position for obj in objects], 20.0, exact=False
+        )
+        for obj, edges in zip(objects, candidates):
             r = math.hypot(obj.position[0], obj.position[1])
             t = min(1.0, r / 900.0)
             stop_prob = (
                 spec.light_stop_prob * (1.0 - t) + spec.light_stop_prob_periphery * t
             )
-            for edge in self.city.graph.edges_near(obj.position, 25.0):
+            for edge in edges:
                 __, arc, dist = edge.geometry.project(obj.position)
                 if dist <= 20.0:
                     furniture.setdefault(edge.edge_id, []).append(
@@ -344,18 +359,17 @@ class TaxiFleetSimulator:
             samples = self._drive(node, path_edges, t, fuel, car_speed_factor, rng)
             if len(samples) < 2:
                 continue
-            emitted = self._emit(samples)
-            for s in emitted:
-                lat, lon = self.city.projector.to_latlon(s.x, s.y)
+            for x, y, t_s, v_kmh, fuel_ml in self._emit(samples):
+                lat, lon = self.city.projector.to_latlon(x, y)
                 trip.points.append(
                     RoutePoint(
                         point_id=point_counter,
                         trip_id=trip.trip_id,
                         lat=lat,
                         lon=lon,
-                        time_s=s.t,
-                        speed_kmh=max(0.0, s.v_kmh + rng.gauss(0.0, 0.8)),
-                        fuel_ml=s.fuel_ml,
+                        time_s=t_s,
+                        speed_kmh=max(0.0, v_kmh + rng.gauss(0.0, 0.8)),
+                        fuel_ml=fuel_ml,
                     )
                 )
                 point_counter += 1
@@ -364,8 +378,8 @@ class TaxiFleetSimulator:
                 CustomerRun(
                     car_id=car_id,
                     trip_id=trip.trip_id,
-                    start_time_s=samples[0].t,
-                    end_time_s=samples[-1].t,
+                    start_time_s=samples[0][2],
+                    end_time_s=samples[-1][2],
                     origin_region=region,
                     dest_region=next_region,
                     edge_ids=tuple(e.edge_id for e, __ in path_edges),
@@ -373,8 +387,7 @@ class TaxiFleetSimulator:
                     gates_crossed=gates,
                 )
             )
-            t = samples[-1].t
-            fuel = samples[-1].fuel_ml
+            __, __, t, __, fuel = samples[-1]
             node = target
             region = next_region
             # Idle dwell waiting for the next customer.
@@ -435,22 +448,26 @@ class TaxiFleetSimulator:
     def _route(
         self, source: int, target: int, rng: random.Random
     ) -> list[tuple[RoadEdge, int]]:
-        """Noisy expected-time shortest path as (edge, from_node) pairs."""
+        """Noisy expected-time shortest path as (edge, from_node) pairs.
+
+        Each edge's noise multiplier is drawn the first time Dijkstra
+        weighs it, so the random stream follows the search's relaxation
+        order.
+        """
+        base = self._route_base
+        gauss = rng.gauss
+        exp = math.exp
         noise_cache: dict[int, float] = {}
 
         def weight(edge: RoadEdge) -> float:
-            mult = noise_cache.get(edge.edge_id)
+            edge_id = edge.edge_id
+            mult = noise_cache.get(edge_id)
             if mult is None:
-                mult = math.exp(rng.gauss(0.0, 0.18))
-                noise_cache[edge.edge_id] = mult
-            lights = sum(
-                1
-                for __, kind, ___ in self._furniture.get(edge.edge_id, ())
-                if kind == "traffic_light"
-            )
-            return (edge.travel_time_s + 6.0 * lights) * mult
+                mult = noise_cache[edge_id] = exp(gauss(0.0, 0.18))
+            return base[edge_id] * mult
 
-        dist = dijkstra(self.city.graph, source, target, weight_fn=weight)
+        graph = self.city.graph
+        dist = dijkstra(graph, source, target, weight_fn=weight)
         if target not in dist:
             return []
         # Reconstruct as (edge, from_node) pairs.
@@ -460,19 +477,23 @@ class TaxiFleetSimulator:
             __, prev_node, prev_edge = dist[node]
             if prev_node is None:
                 break
-            seq.append((self.city.graph.edge(prev_edge), prev_node))
+            seq.append((graph.edge(prev_edge), prev_node))
             node = prev_node
         seq.reverse()
         return seq
 
     # -- driving --------------------------------------------------------------------
 
-    def _edge_steps(self, edge: RoadEdge, from_node: int) -> tuple[float, list[tuple]]:
+    def _edge_steps(self, edge: RoadEdge, from_node: int) -> EdgeSteps:
         """Cached per-step static data of an oriented edge traversal.
 
-        Returns ``(step_length, steps)`` where each step is
-        ``(x, y, heading, limit_kmh, in_hotspot, furniture_kinds)`` —
-        everything about the step that does not depend on the trip.
+        Returns ``(step_length, first_heading, last_heading, steps)`` where
+        each step is ``(x, y, limit_kmh, in_hotspot, furniture_kinds,
+        sharp_turn)`` — everything about the step that does not depend on
+        the trip.  ``sharp_turn`` says whether the heading turns more than
+        40 degrees from the previous step; the first step has no previous
+        step on the edge, so its flag is None and the drive compares it
+        with the edge it came from.
         """
         forward = from_node == edge.u
         key = (edge.edge_id, forward)
@@ -485,6 +506,7 @@ class TaxiFleetSimulator:
         n_steps = max(1, int(math.ceil(length / self.spec.step_m)))
         step = length / n_steps
         steps = []
+        headings = []
         fi = 0
         for k in range(n_steps):
             arc = (k + 0.5) * step
@@ -497,8 +519,10 @@ class TaxiFleetSimulator:
             while fi < len(furniture) and furniture[fi][0] <= (k + 1) * step:
                 kinds.append((furniture[fi][1], furniture[fi][2]))
                 fi += 1
-            steps.append((x, y, heading, limit, hot, tuple(kinds)))
-        result = (step, steps)
+            sharp = crossing_angle_deg(headings[-1], heading) > 40.0 if headings else None
+            headings.append(heading)
+            steps.append((x, y, limit, hot, tuple(kinds), sharp))
+        result = (step, headings[0], headings[-1], steps)
         self._step_cache[key] = result
         return result
 
@@ -510,7 +534,7 @@ class TaxiFleetSimulator:
         fuel0: float,
         car_speed_factor: float,
         rng: random.Random,
-    ) -> list[_Sample]:
+    ) -> list[Sample]:
         """Dense kinematic simulation along a path."""
         spec = self.spec
         base_factor = (
@@ -520,53 +544,69 @@ class TaxiFleetSimulator:
             * diurnal_speed_factor(t0)
             * car_speed_factor
         )
-        samples: list[_Sample] = []
+        gauss = rng.gauss
+        uniform = rng.uniform
+        draw = rng.random
+        exp = math.exp
+        hotspot_cap = spec.hotspot_cap_kmh
+        deadend_cap = spec.deadend_cap_kmh
+        light_error_prob = spec.light_error_prob
+        light_error_wait = spec.light_error_wait_s
+        wait_lo, wait_hi = spec.light_wait_range_s
+        bus_stop_prob = spec.bus_stop_slow_prob
+        crossing_prob = spec.crossing_slow_prob
+        deadend_edges = self._deadend_edges
+        samples: list[Sample] = []
+        append = samples.append
         t = t0
         fuel = fuel0
         prev_heading: Point | None = None
         for edge, from_node in path:
-            step, steps = self._edge_steps(edge, from_node)
-            is_deadend = edge.edge_id in self._deadend_edges
-            for x, y, heading, limit, hot, kinds in steps:
-                v = limit * base_factor * math.exp(rng.gauss(0.0, 0.07))
+            step, first_heading, last_heading, steps = self._edge_steps(edge, from_node)
+            is_deadend = edge.edge_id in deadend_edges
+            for x, y, limit, hot, kinds, sharp in steps:
+                v = limit * base_factor * exp(gauss(0.0, 0.07))
                 if hot:
-                    v = min(v, spec.hotspot_cap_kmh * math.exp(rng.gauss(0.0, 0.25)))
+                    v = min(v, hotspot_cap * exp(gauss(0.0, 0.25)))
                 if is_deadend:
-                    v = min(v, spec.deadend_cap_kmh)
-                if prev_heading is not None:
-                    turn = crossing_angle_deg(prev_heading, heading)
-                    if turn > 40.0:
-                        v = min(v, 18.0)
-                prev_heading = heading
+                    v = min(v, deadend_cap)
+                if sharp is None:
+                    sharp = (
+                        prev_heading is not None
+                        and crossing_angle_deg(prev_heading, first_heading) > 40.0
+                    )
+                if sharp:
+                    v = min(v, 18.0)
                 wait = 0.0
                 for kind, stop_prob in kinds:
                     if kind == "traffic_light":
-                        if rng.random() < spec.light_error_prob:
-                            v = min(v, rng.uniform(3.0, 8.0))  # queue crawl
-                            wait += rng.uniform(100.0, spec.light_error_wait_s)
-                        elif rng.random() < stop_prob:
-                            v = min(v, rng.uniform(3.0, 8.0))  # queue crawl
-                            wait += rng.uniform(*spec.light_wait_range_s)
+                        if draw() < light_error_prob:
+                            v = min(v, uniform(3.0, 8.0))  # queue crawl
+                            wait += uniform(100.0, light_error_wait)
+                        elif draw() < stop_prob:
+                            v = min(v, uniform(3.0, 8.0))  # queue crawl
+                            wait += uniform(wait_lo, wait_hi)
                         else:
                             v = min(v, 15.0)
                     elif kind == "bus_stop":
-                        if rng.random() < spec.bus_stop_slow_prob:
+                        if draw() < bus_stop_prob:
                             v = min(v, 20.0)
                     elif kind == "pedestrian_crossing":
-                        if rng.random() < spec.crossing_slow_prob:
+                        if draw() < crossing_prob:
                             v = min(v, 20.0)
                 v = max(v, 3.0)
                 v_mps = v / 3.6
                 dt = step / v_mps
                 fuel += dt * (IDLE_FUEL_ML_S + v_mps * (0.055 + 0.0012 * v_mps))
                 t += dt
-                samples.append(_Sample(x=x, y=y, t=t, v_kmh=v, fuel_ml=fuel))
+                append((x, y, t, v, fuel))
                 if wait > 0.0:
                     # Idling at the light plus the acceleration surcharge of
                     # getting back up to speed afterwards.
                     fuel += IDLE_FUEL_ML_S * wait + ACCELERATION_FUEL_ML
                     t += wait
-                    samples.append(_Sample(x=x, y=y, t=t, v_kmh=0.0, fuel_ml=fuel))
+                    append((x, y, t, 0.0, fuel))
+            prev_heading = last_heading
         return samples
 
     def _oriented_furniture(
@@ -579,57 +619,79 @@ class TaxiFleetSimulator:
 
     # -- emission --------------------------------------------------------------------
 
-    def _emit(self, samples: list[_Sample]) -> list[_Sample]:
-        """Event-based route-point emission (no fixed sampling rate)."""
+    def _emit(self, samples: list[Sample]) -> list[Sample]:
+        """Event-based route-point emission (no fixed sampling rate).
+
+        A sample is emitted when the speed, the distance or the time since
+        the last emitted one passes its threshold, or the heading turns;
+        the turn angle is only computed when the cheaper triggers stay
+        quiet.
+        """
         spec = self.spec
         if not samples:
             return []
-        emitted = [samples[0]]
-        last = samples[0]
+        emit_heading = spec.emit_heading_deg
+        emit_speed = spec.emit_speed_kmh
+        emit_dist = spec.emit_dist_m
+        emit_time = spec.emit_time_s
+        hypot = math.hypot
+        first = samples[0]
+        emitted = [first]
+        last_t, last_v = first[2], first[3]
         last_heading: Point | None = None
         dist_acc = 0.0
-        prev = samples[0]
+        px, py = first[0], first[1]
         for s in samples[1:-1]:
-            dx = s.x - prev.x
-            dy = s.y - prev.y
-            dist_acc += math.hypot(dx, dy)
-            heading = (dx, dy) if (dx, dy) != (0.0, 0.0) else last_heading
-            trigger = False
-            if last_heading is not None and heading is not None:
-                if crossing_angle_deg(last_heading, heading) > spec.emit_heading_deg:
-                    trigger = True
-            if abs(s.v_kmh - last.v_kmh) > spec.emit_speed_kmh:
-                trigger = True
-            if dist_acc > spec.emit_dist_m:
-                trigger = True
-            if s.t - last.t > spec.emit_time_s:
-                trigger = True
-            if trigger:
+            x, y, t, v, __ = s
+            dx = x - px
+            dy = y - py
+            px, py = x, y
+            dist_acc += hypot(dx, dy)
+            heading = (dx, dy) if dx != 0.0 or dy != 0.0 else last_heading
+            if (
+                abs(v - last_v) > emit_speed
+                or dist_acc > emit_dist
+                or t - last_t > emit_time
+                or (
+                    last_heading is not None
+                    and heading is not None
+                    and crossing_angle_deg(last_heading, heading) > emit_heading
+                )
+            ):
                 emitted.append(s)
-                last = s
+                last_t, last_v = t, v
                 last_heading = heading
                 dist_acc = 0.0
-            prev = s
         emitted.append(samples[-1])
         return emitted
 
     # -- ground truth ------------------------------------------------------------------
 
-    def _gates_crossed(self, samples: list[_Sample]) -> tuple[str, ...]:
-        """Ordered gate crossings of a dense sample sequence."""
+    def _gates_crossed(self, samples: list[Sample]) -> tuple[str, ...]:
+        """Ordered gate crossings of a dense sample sequence.
+
+        Each gate's bounding-box rejection runs as one array comparison
+        over the movement columns; the exact capsule test then walks the
+        surviving movements in order and stops at the gate's first
+        crossing.
+        """
+        xs = np.array([s[0] for s in samples])
+        ys = np.array([s[1] for s in samples])
+        seg_xmin = np.minimum(xs[:-1], xs[1:])
+        seg_xmax = np.maximum(xs[:-1], xs[1:])
+        seg_ymin = np.minimum(ys[:-1], ys[1:])
+        seg_ymax = np.maximum(ys[:-1], ys[1:])
         crossed: list[tuple[float, str]] = []
         for name, gate in self._gates.items():
-            x0, y0, x1, y1 = gate.bounds()
-            for a, b in zip(samples, samples[1:]):
-                # Cheap bounding-box rejection before the exact capsule test.
-                if max(a.x, b.x) < x0 or min(a.x, b.x) > x1:
-                    continue
-                if max(a.y, b.y) < y0 or min(a.y, b.y) > y1:
-                    continue
+            x0, y0, x1, y1 = self._gate_bounds[name]
+            mask = (seg_xmax >= x0) & (seg_xmin <= x1) & (seg_ymax >= y0) & (seg_ymin <= y1)
+            for i in np.flatnonzero(mask).tolist():
+                a = samples[i]
+                b = samples[i + 1]
                 if gate.crossed_by(
-                    (a.x, a.y), (b.x, b.y), min_angle_deg=45.0, max_angle_deg=90.0
+                    (a[0], a[1]), (b[0], b[1]), min_angle_deg=45.0, max_angle_deg=90.0
                 ):
-                    crossed.append((a.t, name))
+                    crossed.append((a[2], name))
                     break  # first crossing of this gate is enough
         crossed.sort()
         return tuple(name for __, name in crossed)

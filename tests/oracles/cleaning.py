@@ -5,11 +5,14 @@ and walks each candidate ordering with the scalar haversine;
 :func:`segment_trip` evaluates the stop rules gap by gap through
 :func:`repro.cleaning.segmentation._stop_rule`.  Signatures match the
 production kernels, so either can be monkeypatched in for the other.
+:func:`_realign` rebuilds each point through ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-from repro.cleaning.ordering import OrderingReport, _realign
+from dataclasses import replace
+
+from repro.cleaning.ordering import OrderingReport
 from repro.cleaning.segmentation import (
     SegmentationConfig,
     SegmentationReport,
@@ -41,6 +44,16 @@ def repair_ordering(trip: Trip) -> tuple[Trip, OrderingReport]:
         was_consistent=consistent,
     )
     return trip.with_points(repaired), report
+
+
+def _realign(sequence: list[RoutePoint]) -> list[RoutePoint]:
+    """Make ids and timestamps monotonic along ``sequence``."""
+    ids = sorted(p.point_id for p in sequence)
+    times = sorted(p.time_s for p in sequence)
+    return [
+        replace(p, point_id=pid, time_s=ts)
+        for p, pid, ts in zip(sequence, ids, times)
+    ]
 
 
 def _split_at_stops(

@@ -1,11 +1,14 @@
 """Tests for repro.geo.polygon."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.geometry import LineString
 from repro.geo.polygon import Polygon, ThickLine, convex_hull, polygon_from_hull
+from tests.oracles.simulator import crossed_by as reference_crossed_by
 
 
 class TestPolygon:
@@ -92,6 +95,75 @@ class TestThickLine:
     def test_fast_long_hop_through_capsule(self):
         # Both endpoints far outside, the segment pierces the capsule.
         assert self.gate.crossed_by((50.0, -400.0), (50.0, 400.0), 45.0, 90.0)
+
+    def test_hop_past_the_end_cap_counts_by_its_midpoint(self):
+        # Both endpoints outside, the axis never crossed, the midpoint
+        # (110, 0) inside the end cap.
+        assert self.gate.crossed_by((110.0, -30.0), (110.0, 30.0), 45.0, 90.0)
+
+
+#: A straight two-vertex gate (the study's gates) and a bent one.
+REFERENCE_GATES = (
+    ThickLine(LineString([(0.0, 0.0), (100.0, 0.0)]), half_width=20.0),
+    ThickLine(LineString([(0.0, 0.0), (60.0, 40.0), (130.0, -10.0)]), half_width=15.0),
+)
+
+
+@st.composite
+def movements(draw, case):
+    """A gate and a movement ``a -> b`` of one crossing case."""
+    gate = draw(st.sampled_from(REFERENCE_GATES))
+    hw = gate.half_width
+    if case == "midpoint_only":
+        # Tangent to a circle of radius r < hw around an axis end, on its
+        # outer side: the midpoint lies in the end cap, the axis is never
+        # reached, and both endpoints are at least hw from the end.
+        coords = gate.line.coords
+        end, inner = (coords[-1], coords[-2]) if draw(st.booleans()) else (coords[0], coords[1])
+        ex, ey = map(float, (end - inner) / math.hypot(*(end - inner)))
+        phi = draw(st.floats(min_value=-1.0, max_value=1.0))
+        ux = ex * math.cos(phi) - ey * math.sin(phi)
+        uy = ex * math.sin(phi) + ey * math.cos(phi)
+        r = draw(st.floats(min_value=0.2, max_value=0.95)) * hw
+        t = draw(st.floats(min_value=1.0, max_value=3.0)) * hw
+        mid = (float(end[0]) + r * ux, float(end[1]) + r * uy)
+        a = (mid[0] + t * uy, mid[1] - t * ux)
+        b = (mid[0] - t * uy, mid[1] + t * ux)
+        assume(not gate.contains(a) and not gate.contains(b))
+        assume(not gate.line.crossings(a, b))
+        return gate, a, b
+    # Otherwise the movement is centred on a point in the capsule: on the
+    # axis plus an offset under the half-width.
+    offset = st.floats(min_value=-0.7, max_value=0.7)
+    ax, ay = gate.line.interpolate(draw(st.floats(min_value=0.0, max_value=gate.line.length)))
+    mid = (ax + draw(offset) * hw, ay + draw(offset) * hw)
+    half = st.floats(min_value=-120.0, max_value=120.0)
+    dx, dy = draw(half), draw(half)
+    if case == "zero_length":
+        return gate, mid, mid
+    if case == "endpoint_inside":
+        return gate, mid, (mid[0] + 2.0 * dx, mid[1] + 2.0 * dy)
+    a = (mid[0] - dx, mid[1] - dy)
+    b = (mid[0] + dx, mid[1] + dy)
+    assume(not gate.contains(a) and not gate.contains(b))
+    assume(gate.line.crossings(a, b))
+    return gate, a, b
+
+
+class TestCrossedByReference:
+    """One projection per point answers exactly as the reference's up to
+    three contains-then-project calls."""
+
+    @pytest.mark.parametrize(
+        "case", ["endpoint_inside", "axis_crossing", "midpoint_only", "zero_length"]
+    )
+    @given(data=st.data(), min_angle=st.sampled_from([0.0, 45.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case, data, min_angle):
+        gate, a, b = data.draw(movements(case))
+        assert gate.crossed_by(a, b, min_angle, 90.0) == reference_crossed_by(
+            gate, a, b, min_angle, 90.0
+        )
 
 
 class TestConvexHull:

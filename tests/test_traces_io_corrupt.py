@@ -2,10 +2,10 @@
 
 Each file under ``tests/data/corrupt_traces/`` reproduces one class of
 raw-feed damage the paper's preprocessing contends with (truncated
-lines, NaN coordinates, non-monotonic ids, fully-garbled trips, UTF-8
-damage).  The table-driven test asserts that :func:`read_points_csv`
-survives every one, keeps the parseable rows, and leaves a precise
-:class:`TripError` record per problem.
+lines, NaN coordinates, NaN/inf speed or fuel, non-monotonic ids,
+fully-garbled trips, UTF-8 damage).  The table-driven test asserts
+that :func:`read_points_csv` survives every one, keeps the parseable
+rows, and leaves a precise :class:`TripError` record per problem.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ CORPUS = Path(__file__).parent / "data" / "corrupt_traces"
 CASES = {
     "truncated_line.csv": ([10], 2, {"truncated_row"}),
     "nan_coords.csv": ([20], 2, {"non_finite"}),
+    "non_finite_speed.csv": ([70], 2, {"non_finite"}),
     "non_monotonic.csv": ([30], 3, {"non_monotonic_ids"}),
     "empty_trip.csv": ([40], 1, {"parse_error", "truncated_row", "empty_trip"}),
     "utf8_garbage.csv": ([60], 2, {"parse_error"}),

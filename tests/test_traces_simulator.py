@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.traces import FleetSpec, TaxiFleetSimulator
+from repro.traces.noise import NoiseSpec
 from repro.traces.simulator import REGION_TRANSITIONS, Region
+from tests.oracles.simulator import ReferenceSimulator
+
+ROUTING_COUNTERS = ("routing.dijkstra_calls", "routing.settled_nodes")
 
 
 class TestFleetSpec:
@@ -115,3 +120,48 @@ class TestGroundTruthRuns:
                 if r.origin_region is Region.CORE and r.dest_region is Region.CORE]
         gate_free = sum(1 for r in core if not r.gates_crossed)
         assert gate_free / max(1, len(core)) > 0.9
+
+
+def simulate_counted(simulator):
+    """One simulation and the routing counters it recorded."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        fleet, runs = simulator.simulate()
+    return fleet, runs, [registry.counter(name).value for name in ROUTING_COUNTERS]
+
+
+class TestReferenceEquivalence:
+    """The simulator draws the reference's random stream and floats exactly."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FleetSpec(n_days=3, seed=2012),
+            FleetSpec(n_days=3, seed=7),
+            FleetSpec(n_days=3, seed=99),
+            FleetSpec(n_days=3, seed=5, noise=NoiseSpec(dropout_prob=0.1)),
+            FleetSpec(n_days=3, seed=5, noise=NoiseSpec(
+                gps_sigma_m=0.0, reorder_prob=0.0, glitch_prob=0.0,
+                duplicate_prob=0.0)),
+            FleetSpec(n_days=3, seed=11, n_taxis=3, step_m=12.0),
+            FleetSpec(n_days=3, seed=13, light_error_prob=0.2),
+        ],
+        ids=["seed2012", "seed7", "seed99", "dropout", "no_noise", "fine_steps",
+             "light_errors"],
+    )
+    def test_identical_to_reference(self, city, spec):
+        simulator = TaxiFleetSimulator(city, spec)
+        reference = ReferenceSimulator(city, spec)
+        assert repr(simulator._furniture) == repr(reference._furniture)
+        fleet, runs, counters = simulate_counted(simulator)
+        ref_fleet, ref_runs, ref_counters = simulate_counted(reference)
+        assert [(t.trip_id, t.car_id) for t in fleet.trips] == [
+            (t.trip_id, t.car_id) for t in ref_fleet.trips
+        ]
+        # repr shows every field, each float exactly (-0.0 included).
+        assert [repr(t.points) for t in fleet.trips] == [
+            repr(t.points) for t in ref_fleet.trips
+        ]
+        assert repr(runs) == repr(ref_runs)
+        assert counters == ref_counters
+        assert counters[0] > 0

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cleaning import pipeline as pipeline_module
-from repro.cleaning.ordering import repair_ordering
+from repro.cleaning.ordering import _realign, repair_ordering
 from repro.cleaning.segmentation import segment_trip
 from repro.experiments import OuluStudy, StudyConfig
 from repro.matching import IncrementalMatcher
@@ -105,6 +105,12 @@ class TestOrderingEquivalence:
         assert scalar_report.was_consistent == vec_report.was_consistent
         assert abs(scalar_report.distance_by_id_m - vec_report.distance_by_id_m) \
             <= 1e-6 * max(1.0, scalar_report.distance_by_id_m)
+
+    @given(trip=trip_st)
+    @settings(max_examples=100, deadline=None)
+    def test_realign_matches_reference(self, trip):
+        # repr shows every field, each float exactly.
+        assert repr(_realign(trip.points)) == repr(cleaning_oracle._realign(trip.points))
 
 
 class TestGateCrossingEquivalence:
