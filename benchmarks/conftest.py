@@ -6,8 +6,10 @@ the paper reports, asserts the reproduction's *shape*, and persists the
 rendered artefact under ``benchmarks/out/``.
 
 Perf benches additionally dump their timing stats as ``BENCH_<name>.json``
-files under ``benchmarks/out/`` (one per bench module), so the perf
-trajectory accumulates across PRs and regressions are diffable.
+files under ``benchmarks/out/`` (one per bench module), which
+``tools/bench_compare.py`` reads against ``benchmarks/baseline.json``.
+``benchmarks/out/`` is gitignored: the dumps are one run's scratch
+output (CI uploads them as an artifact), not a committed trajectory.
 """
 
 from __future__ import annotations

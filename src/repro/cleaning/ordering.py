@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.traces.arrays import TraceArrays
+from repro.traces.arrays import FleetArrays
 from repro.traces.model import RoutePoint, Trip
 
 
@@ -35,54 +35,119 @@ class OrderingReport:
         return abs(self.distance_by_id_m - self.distance_by_time_m)
 
 
+@dataclass
+class FleetOrdering:
+    """The ordering repair of every trip in a batch.
+
+    ``rows`` is the chosen sequence as rows of the input batch;
+    ``point_id`` and ``time_s`` are the realigned columns along it, and
+    ``moved`` marks where either differs (bit for bit) from the source
+    row's own.  ``in_order`` says the chosen sequence is the stored one
+    with both columns unchanged.  The per-trip lists are aligned with
+    the batch's trips.
+    """
+
+    rows: np.ndarray
+    point_id: np.ndarray
+    time_s: np.ndarray
+    moved: np.ndarray
+    in_order: bool
+    distance_by_id_m: list[float]
+    distance_by_time_m: list[float]
+    by_time: list[bool]
+    consistent: list[bool]
+
+
+def order_fleet(arrays: FleetArrays) -> FleetOrdering:
+    """Repair the point ordering of every trip in a batch.
+
+    Ties (equal distances, including already-consistent trips) keep the
+    id ordering.  ``np.lexsort`` keyed (trip, value) is stable, so each
+    trip's slice of it is exactly the stable sort of that trip alone.
+    After the choice, ids and timestamps are re-assigned from their own
+    sorted multisets — the timestamps stably sorted along the chosen
+    sequence — so both increase monotonically, as the paper requires.
+    """
+    trip = arrays.trip_index()
+    by_id = np.lexsort((arrays.point_id, trip))
+    by_time = np.lexsort((arrays.time_s, trip))
+    if (by_id == by_time).all():
+        # One sequence for both keys: nothing to choose, and when it is
+        # the stored order the batch's own (cached) gaps measure it.
+        in_order = bool((by_id[1:] > by_id[:-1]).all())
+        d_id = d_time = arrays.path_lengths_m(None if in_order else by_id)
+        choose_time = [False] * arrays.n_trips
+        consistent = [True] * arrays.n_trips
+        rows = by_id
+    else:
+        in_order = False
+        d_id = arrays.path_lengths_m(by_id)
+        d_time = arrays.path_lengths_m(by_time)
+        choose_time = [t < i for i, t in zip(d_id, d_time)]
+        mismatched = trip[arrays.point_id[by_id] != arrays.point_id[by_time]]
+        consistent = (np.bincount(mismatched, minlength=arrays.n_trips) == 0).tolist()
+        rows = np.where(np.array(choose_time, dtype=bool)[trip], by_time, by_id)
+    if in_order:
+        point_id, time_s = arrays.point_id, arrays.time_s
+        moved = np.zeros(len(arrays), dtype=bool)
+    else:
+        point_id = arrays.point_id[by_id]
+        times = arrays.time_s[rows]
+        time_s = times[np.lexsort((times, trip))]
+        moved = (point_id != arrays.point_id[rows]) | (
+            time_s.view(np.int64) != times.view(np.int64)
+        )
+    return FleetOrdering(
+        rows=rows,
+        point_id=point_id,
+        time_s=time_s,
+        moved=moved,
+        in_order=in_order,
+        distance_by_id_m=d_id,
+        distance_by_time_m=d_time,
+        by_time=choose_time,
+        consistent=consistent,
+    )
+
+
+def realigned_points(
+    source: list[RoutePoint],
+    rows: np.ndarray,
+    point_id: np.ndarray,
+    time_s: np.ndarray,
+    moved: np.ndarray,
+) -> list[RoutePoint]:
+    """Route points for realigned rows of a batch.
+
+    Row ``i`` is ``source[rows[i]]`` (``source`` holds the batch's input
+    points in row order) unless ``moved[i]``: then a new point takes the
+    source point's position, speed and fuel with id ``point_id[i]`` and
+    timestamp ``time_s[i]``.
+    """
+    out = [source[r] for r in rows.tolist()]
+    for i in moved.nonzero()[0].tolist():
+        p = out[i]
+        out[i] = RoutePoint(
+            int(point_id[i]), p.trip_id, p.lat, p.lon, float(time_s[i]),
+            p.speed_kmh, p.fuel_ml,
+        )
+    return out
+
+
 def repair_ordering(trip: Trip) -> tuple[Trip, OrderingReport]:
     """Repair a trip's point ordering; returns (repaired trip, report).
 
-    Ties (equal distances, including already-consistent trips) keep the
-    id ordering.  After the choice, ids and timestamps are re-assigned from
-    their own sorted multisets so both increase monotonically along the
-    chosen sequence, as the paper requires.
-
-    The trip length under each candidate ordering comes from one batched
-    haversine pass over the point columns; stable argsorts give exactly
-    the permutations Python's stable ``sorted`` would.
+    The one-trip form of :func:`order_fleet`.
     """
-    arrays = TraceArrays.from_trip(trip)
-    order_id = np.argsort(arrays.point_id, kind="stable")
-    order_time = np.argsort(arrays.time_s, kind="stable")
-    d_id = arrays.distance_under(order_id)
-    d_time = arrays.distance_under(order_time)
-    consistent = bool(
-        np.array_equal(arrays.point_id[order_id], arrays.point_id[order_time])
+    ordering = order_fleet(FleetArrays.from_trip(trip))
+    points = realigned_points(
+        trip.points, ordering.rows, ordering.point_id, ordering.time_s, ordering.moved
     )
-    if d_time < d_id:
-        chosen = "time_s"
-        sequence = [trip.points[i] for i in order_time]
-    else:
-        chosen = "point_id"
-        sequence = [trip.points[i] for i in order_id]
-    repaired = _realign(sequence)
     report = OrderingReport(
         trip_id=trip.trip_id,
-        distance_by_id_m=d_id,
-        distance_by_time_m=d_time,
-        chosen=chosen,
-        was_consistent=consistent,
+        distance_by_id_m=ordering.distance_by_id_m[0],
+        distance_by_time_m=ordering.distance_by_time_m[0],
+        chosen="time_s" if ordering.by_time[0] else "point_id",
+        was_consistent=ordering.consistent[0],
     )
-    return trip.with_points(repaired), report
-
-
-def _realign(sequence: list[RoutePoint]) -> list[RoutePoint]:
-    """Make ids and timestamps monotonic along ``sequence``.
-
-    The value multisets are preserved — ids keep being the same ids and
-    timestamps the same timestamps — only their assignment to positions
-    changes, which is exactly the paper's "aligned with respect to the
-    correct sequence to guarantee monotonic increase".
-    """
-    ids = sorted(p.point_id for p in sequence)
-    times = sorted(p.time_s for p in sequence)
-    return [
-        RoutePoint(pid, p.trip_id, p.lat, p.lon, ts, p.speed_kmh, p.fuel_ml)
-        for p, pid, ts in zip(sequence, ids, times)
-    ]
+    return trip.with_points(points), report

@@ -19,23 +19,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
+import numpy as np
+
 from repro.cleaning.filters import (
     FilterConfig,
-    drop_duplicates,
+    bounds_rows,
+    duplicate_rows,
     filter_segments,
-    remove_position_outliers,
-    within_bounds,
+    outlier_rows,
 )
-from repro.cleaning.ordering import repair_ordering
+from repro.cleaning.ordering import order_fleet, realigned_points
 from repro.faults import Quarantine, RobustnessConfig, TripError, guarded_call, maybe_inject
 from repro.obs import get_journal, get_logger, get_registry, span
 from repro.cleaning.segmentation import (
     SegmentationConfig,
     SegmentationReport,
     TripSegment,
-    segment_trip,
+    segment_fleet,
+    trip_segments,
 )
-from repro.traces.model import FleetData
+from repro.traces.arrays import FleetArrays
+from repro.traces.model import FleetData, Trip
 
 _log = get_logger(__name__)
 
@@ -106,6 +110,102 @@ class CleanResult:
         return [s for s in self.segments if s.car_id == car_id]
 
 
+def clean_batch(
+    trips: list[Trip],
+    filter_config: FilterConfig,
+    segmentation_config: SegmentationConfig,
+    repair: bool = True,
+) -> list[TripCleanResult]:
+    """Stages 1-5 over a batch of trips, as one set of array passes.
+
+    The batch's points become one :class:`~repro.traces.arrays.FleetArrays`;
+    each stage is a kernel over all of its rows, and each filter stage
+    narrows the batch with :meth:`FleetArrays.take`.  Every trip's
+    result equals what it would get cleaned alone: the kernels decide
+    per trip, with cross-trip gaps masked and per-trip float sums over
+    each trip's own slice.
+
+    The batch's wall time per stage lands on the first trip's
+    ``stage_seconds`` (zeros elsewhere), so the fold's sums stay whole.
+    """
+    stage_s = dict.fromkeys(STAGES[:-1], 0.0)
+    t0 = perf_counter()
+    batch = FleetArrays.from_trips(trips)
+    source = [p for trip in trips for p in trip.points]
+    n_trips = batch.n_trips
+    # ``rows`` maps each row of the working batch back to its input row;
+    # ``moved`` marks the rows whose realigned id or timestamp changed.
+    if repair:
+        batch, rows, moved, saved_m = _repair(batch)
+    else:
+        rows = np.arange(len(batch))
+        moved = np.zeros(len(batch), dtype=bool)
+        saved_m = [None] * n_trips
+    t1 = perf_counter()
+    stage_s["ordering"] = t1 - t0
+
+    removed = {}
+    for stage, rows_kept in (
+        ("duplicates", duplicate_rows),
+        ("outliers", outlier_rows),
+        ("bounds", bounds_rows),
+    ):
+        keep = rows_kept(batch, filter_config)
+        if keep.all():
+            removed[stage] = [0] * n_trips
+        else:
+            removed[stage] = np.bincount(
+                batch.trip_index()[~keep], minlength=n_trips
+            ).tolist()
+            kept = keep.nonzero()[0]
+            batch = batch.take(kept)
+            rows = rows[kept]
+            moved = moved[kept]
+        t2 = perf_counter()
+        stage_s[stage] = t2 - t1
+        t1 = t2
+
+    points = realigned_points(source, rows, batch.point_id, batch.time_s, moved)
+    pieces, reports = segment_fleet(batch, segmentation_config)
+    results = []
+    for k, trip in enumerate(trips):
+        result = TripCleanResult(
+            segments=trip_segments(trip, pieces[k], points),
+            duplicates_removed=removed["duplicates"][k],
+            outliers_removed=removed["outliers"][k],
+            out_of_bounds_removed=removed["bounds"][k],
+            segmentation=reports[k],
+            stage_seconds=dict.fromkeys(STAGES[:-1], 0.0),
+        )
+        if saved_m[k] is not None:
+            result.reordered = True
+            result.reordering_saved_m = saved_m[k]
+        results.append(result)
+    stage_s["segmentation"] = perf_counter() - t1
+    if results:
+        results[0].stage_seconds = stage_s
+    return results
+
+
+def _repair(batch: FleetArrays):
+    """Stage 1 of :func:`clean_batch`: the realigned batch, each of its
+    rows' input row, which rows' id or timestamp changed, and each
+    trip's saved distance (``None`` where both orderings agreed)."""
+    ordering = order_fleet(batch)
+    saved_m = [
+        None if consistent else abs(d_id - d_time)
+        for consistent, d_id, d_time in zip(
+            ordering.consistent, ordering.distance_by_id_m, ordering.distance_by_time_m
+        )
+    ]
+    if ordering.in_order:
+        return batch, ordering.rows, ordering.moved, saved_m
+    realigned = batch.take(
+        ordering.rows, point_id=ordering.point_id, time_s=ordering.time_s
+    )
+    return realigned, ordering.rows, ordering.moved, saved_m
+
+
 class CleaningPipeline:
     """Configurable cleaning pipeline over raw fleet data."""
 
@@ -126,55 +226,23 @@ class CleaningPipeline:
         self.robustness = robustness
 
     def clean_trip(self, trip) -> TripCleanResult:
-        """Clean and segment one trip — a pure, parallelisable unit.
+        """Clean and segment one trip — the one-trip form of :func:`clean_batch`.
 
         Stages 1-5 run per trip; the fleet-level segment filter (stage 6)
         and sequential segment-id assignment happen in :meth:`run`, so the
         result is independent of which process handles the trip.
         """
         maybe_inject("clean", trip.trip_id)
-        stage_s = dict.fromkeys(STAGES[:-1], 0.0)
-        result = TripCleanResult(segments=[], stage_seconds=stage_s)
-        if self.repair:
-            t0 = perf_counter()
-            trip, ordering = repair_ordering(trip)
-            stage_s["ordering"] += perf_counter() - t0
-            if not ordering.was_consistent:
-                result.reordered = True
-                result.reordering_saved_m = ordering.saved_m
-        points = trip.points
-        before = len(points)
-        t0 = perf_counter()
-        points = drop_duplicates(points, self.filter_config)
-        stage_s["duplicates"] += perf_counter() - t0
-        result.duplicates_removed = before - len(points)
-        before = len(points)
-        t0 = perf_counter()
-        points = remove_position_outliers(points, self.filter_config)
-        stage_s["outliers"] += perf_counter() - t0
-        result.outliers_removed = before - len(points)
-        before = len(points)
-        t0 = perf_counter()
-        points = within_bounds(points, self.filter_config)
-        stage_s["bounds"] += perf_counter() - t0
-        result.out_of_bounds_removed = before - len(points)
-        trip = trip.with_points(points)
-        t0 = perf_counter()
-        result.segments, result.segmentation = segment_trip(
-            trip, self.segmentation_config, first_segment_id=1
-        )
-        stage_s["segmentation"] += perf_counter() - t0
-        return result
+        return self._clean([trip])[0]
 
     def clean_trip_unit(self, trip) -> TripCleanResult | TripError:
         """:meth:`clean_trip` behind the degradation guard.
 
-        The unit the serial fold *and* pool workers both run: with
+        The unit the streaming service folds one trip at a time: with
         robustness configured, a raising trip comes back as a
         :class:`~repro.faults.TripError` value (picklable, foldable);
         without it this is exactly :meth:`clean_trip`.  A journal-visible
-        ``clean_trip`` detail span times the unit on whichever process
-        runs it.
+        ``clean_trip`` detail span times the unit.
         """
         with span("clean_trip", detail=True, attrs={"trip_id": trip.trip_id}):
             if self.robustness is None:
@@ -185,17 +253,64 @@ class CleaningPipeline:
             )
             return error if error is not None else result
 
+    def clean_trips(self, trips: list) -> list:
+        """Per-trip results for a batch, aligned with ``trips``.
+
+        The unit the serial fold and every pool chunk run.  Each trip
+        first passes its fault-injection point on its own — behind the
+        degradation guard, with retries, when robustness is configured —
+        and the admitted trips then go through :func:`clean_batch` as
+        one batch.  Should the kernel raise, the batch re-runs trip by
+        trip through the guard, so only the failing trip is quarantined.
+        A batch records no per-trip detail spans.
+        """
+        if self.robustness is None:
+            for trip in trips:
+                maybe_inject("clean", trip.trip_id)
+            return self._clean(trips)
+        results: list = [None] * len(trips)
+        admitted = []
+        for i, trip in enumerate(trips):
+            __, error = guarded_call(
+                "clean", maybe_inject, "clean", trip.trip_id,
+                robustness=self.robustness, trip_id=trip.trip_id,
+            )
+            if error is None:
+                admitted.append(i)
+            else:
+                results[i] = error
+        batch = [trips[i] for i in admitted]
+        try:
+            cleaned = self._clean(batch)
+        except Exception:  # noqa: BLE001 - isolate the failing trip below
+            cleaned = []
+            for trip in batch:
+                result, error = guarded_call(
+                    "clean", self._clean, [trip],
+                    robustness=self.robustness, trip_id=trip.trip_id,
+                )
+                cleaned.append(error if error is not None else result[0])
+        for i, result in zip(admitted, cleaned):
+            results[i] = result
+        return results
+
+    def _clean(self, trips: list) -> list[TripCleanResult]:
+        return clean_batch(
+            trips, self.filter_config, self.segmentation_config, self.repair
+        )
+
     def compute_units(self, trips: list, executor=None) -> list:
         """Per-trip results for ``trips``, serial or pooled.
 
         The compute half of :meth:`run`, factored out so the shard-store
         planner (:class:`repro.store.planner.StudyPlanner`) can run it
         over just the dirty subset and feed the folded whole back through
-        ``per_trip``.
+        ``per_trip``.  Serially the trips are one :meth:`clean_trips`
+        batch; pooled, each chunk is.
         """
         if executor is not None and executor.parallel:
             return executor.clean_trips(trips)
-        return [self.clean_trip_unit(trip) for trip in trips]
+        return self.clean_trips(trips)
 
     def run(
         self,

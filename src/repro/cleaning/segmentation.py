@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.traces.arrays import TraceArrays
+from repro.traces.arrays import FleetArrays
 from repro.traces.model import RoutePoint, Trip, trip_distance_m
 
 
@@ -91,7 +91,7 @@ class TripSegment:
     def distance_m(self) -> float:
         """Segment length in metres (computed once, then cached).
 
-        :func:`segment_trip` seeds the cache from its gap arrays; a
+        :func:`segment_fleet` seeds the cache from its gap arrays; a
         segment built any other way walks its points with the haversine
         on first access, exactly once.
         """
@@ -154,7 +154,10 @@ def _stop_rules(
         & (dt > 0.0)
         & (speed >= config.rule3_speed_mps)
     )
-    return np.select([m1, m2, m3, m4], [1, 2, 3, 4], default=0)
+    rule = np.zeros(dist.shape, dtype=np.int8)
+    for code, mask in ((4, m4), (3, m3), (2, m2), (1, m1)):
+        rule[mask] = code  # in reverse, so the first true mask wins
+    return rule
 
 
 def _split_spans(
@@ -183,6 +186,61 @@ def _split_spans(
     return [(s, e) for s, e in zip(bounds, bounds[1:]) if e - s >= 2]
 
 
+def segment_fleet(
+    arrays: FleetArrays, config: SegmentationConfig | None = None
+) -> tuple[list[list[tuple[int, int, float]]], list[SegmentationReport]]:
+    """Apply the Table 2 rules to every trip of a batch.
+
+    Returns, per trip, the kept pieces as ``(start_row, end_row,
+    length_m)`` triples over the batch's rows, and a report of rule
+    firings.  Rule 5 (re-splitting over-40 km pieces with a tighter
+    rule-1 window) runs as the second round, as in the paper.
+
+    Rules 1-4 evaluate once over the batch's gap arrays, with the gaps
+    that join two trips masked out, and the splits fall out of
+    ``np.flatnonzero``.  A piece's length is a ``np.sum`` over its own
+    slice of the gap distances — the rule 5 test and the seed of
+    :attr:`TripSegment.distance_m`.
+    """
+    config = config or SegmentationConfig()
+    n_trips = arrays.n_trips
+    reports = [SegmentationReport(trips_processed=1) for _ in range(n_trips)]
+    pieces: list[list[tuple[int, int, float]]] = [[] for _ in range(n_trips)]
+    if len(arrays) < 2:
+        return pieces, reports
+    dist, dt = arrays.gaps()
+    rule = _stop_rules(dist, dt, config, config.rule1_window_s)
+    rule[~arrays.inner_gaps()] = 0
+    fired = rule.nonzero()[0]
+    trip = arrays.trip_index()
+    bounds = arrays.offsets.tolist()
+    if fired.size:
+        fired_trip = trip[fired]
+        for r in range(1, 5):
+            hits = np.bincount(fired_trip[rule[fired] == r], minlength=n_trips)
+            for k in hits.nonzero()[0].tolist():
+                reports[k].rule_hits[r] += int(hits[k])
+        bounds = np.union1d(bounds, fired + 1).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo < 2:
+            continue
+        k = int(trip[lo])
+        length = float(dist[lo : hi - 1].sum())
+        if length > config.rule5_length_m:
+            reports[k].rule_hits[5] += 1
+            pieces[k].extend(
+                (s, e, float(dist[s : e - 1].sum()))
+                for s, e in _split_spans(
+                    lo, hi, dist, dt, config, config.rule5_window_s, reports[k]
+                )
+            )
+        else:
+            pieces[k].append((lo, hi, length))
+    for report, trip_pieces in zip(reports, pieces):
+        report.segments_created = len(trip_pieces)
+    return pieces, reports
+
+
 def segment_trip(
     trip: Trip,
     config: SegmentationConfig | None = None,
@@ -190,43 +248,33 @@ def segment_trip(
 ) -> tuple[list[TripSegment], SegmentationReport]:
     """Apply the Table 2 rules to one raw trip.
 
-    Returns the segments (ids starting at ``first_segment_id``) and a
-    report of rule firings.  Rule 5 (re-splitting over-40 km segments with
-    a tighter rule-1 window) runs as the second round, as in the paper.
-
-    All five rule predicates evaluate as boolean masks over the trip's gap
-    arrays (one geometry pass for the whole trip, shared by both rounds),
-    and the splits fall out of ``np.flatnonzero``.  Piece lengths for the
-    rule 5 check are subarray sums of the same gap distances, which also
-    seed each segment's :attr:`TripSegment.distance_m` cache.
+    The one-trip form of :func:`segment_fleet`; segment ids start at
+    ``first_segment_id``.
     """
-    config = config or SegmentationConfig()
-    report = SegmentationReport(trips_processed=1)
-    dist, dt = TraceArrays.from_trip(trip).gaps()
-    n = len(trip.points)
-    first_round = _split_spans(0, n, dist, dt, config, config.rule1_window_s, report)
+    (pieces,), (report,) = segment_fleet(FleetArrays.from_trip(trip), config)
+    return trip_segments(trip, pieces, trip.points, first_segment_id), report
 
-    final_spans: list[tuple[int, int]] = []
-    for lo, hi in first_round:
-        if float(np.sum(dist[lo : hi - 1])) > config.rule5_length_m:
-            report.rule_hits[5] += 1
-            final_spans.extend(
-                _split_spans(lo, hi, dist, dt, config, config.rule5_window_s, report)
-            )
-        else:
-            final_spans.append((lo, hi))
 
+def trip_segments(
+    trip: Trip,
+    pieces: list[tuple[int, int, float]],
+    points: list[RoutePoint],
+    first_segment_id: int = 1,
+) -> list[TripSegment]:
+    """One trip's :func:`segment_fleet` pieces as segments.
+
+    ``points`` are the batch's points in row order; each segment's
+    length cache is seeded with its piece's length.
+    """
     segments = []
-    for i, (lo, hi) in enumerate(final_spans):
+    for i, (lo, hi, length) in enumerate(pieces):
         segment = TripSegment(
             segment_id=first_segment_id + i,
             trip_id=trip.trip_id,
             car_id=trip.car_id,
             index=i,
-            points=trip.points[lo:hi],
+            points=points[lo:hi],
         )
-        segment._distance_m = float(np.sum(dist[lo : hi - 1]))
+        segment._distance_m = length
         segments.append(segment)
-    report.segments_created = len(segments)
-    return segments, report
-
+    return segments

@@ -11,7 +11,8 @@ Four views over the artefacts a run leaves behind (``events.jsonl``,
   (lineage, detail spans, quarantine records) by trip/segment id;
 * :func:`diff_runs` — artefact + counter comparison of two run
   directories, the acceptance check that two runs (say serial vs
-  ``--workers 4``) produced the same science.
+  ``--workers 4``) produced the same science, followed by their
+  stage-time deltas.
 
 Everything here is pure text rendering over already-loaded data; the CLI
 wiring lives in :mod:`repro.cli`.
@@ -278,13 +279,55 @@ def _comparable_counters(metrics: dict) -> dict:
     }
 
 
+def _stage_seconds(metrics: dict) -> tuple[dict[str, float], float]:
+    """Stage -> seconds of the first root span, plus the root's seconds."""
+    spans = metrics.get("spans") or [{}]
+    root = spans[0]
+    stages = {c["name"]: c.get("seconds", 0.0) for c in root.get("children", ())}
+    return stages, root.get("seconds", 0.0)
+
+
+def _stage_time_lines(metrics_a: dict, metrics_b: dict) -> list[str]:
+    """One informational line per stage of either run's span tree.
+
+    Shows both sides' seconds, the change, and each side's share of its
+    root span; ``-`` where a run lacks the stage.
+    """
+    stages_a, root_a = _stage_seconds(metrics_a)
+    stages_b, root_b = _stage_seconds(metrics_b)
+    names = [*stages_a, *(n for n in stages_b if n not in stages_a)]
+    if not names:
+        return []
+
+    def seconds(stages: dict, name: str) -> str:
+        return f"{stages[name]:.4f}" if name in stages else "-"
+
+    def share(stages: dict, name: str, root: float) -> str:
+        return f"{stages[name] / root:.1%}" if name in stages and root else "-"
+
+    width = max(12, *(len(n) for n in names))
+    lines = [f"  time {'stage':<{width}} {'A s':>9} {'B s':>9} {'change':>8} "
+             f"{'A share':>8} {'B share':>8}"]
+    for name in names:
+        a, b = stages_a.get(name), stages_b.get(name)
+        change = f"{(b - a) / a:+.1%}" if a and b is not None else "-"
+        lines.append(
+            f"  time {name:<{width}} {seconds(stages_a, name):>9} "
+            f"{seconds(stages_b, name):>9} {change:>8} "
+            f"{share(stages_a, name, root_a):>8} {share(stages_b, name, root_b):>8}"
+        )
+    return lines
+
+
 def diff_runs(dir_a: str | Path, dir_b: str | Path) -> DiffResult:
     """Compare two run directories' artefacts and structural counters.
 
     Byte-compares every Table/figure artefact and ``errors.jsonl``, then
     the comparable (non-scheduling) counters of the two ``metrics.json``
     files.  Timings, ids and scheduling counters are out of scope — two
-    runs *diverge* only if they produced different science.
+    runs *diverge* only if they produced different science.  The stage
+    times of both span trees follow as information (``time`` lines);
+    they never make runs diverge.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     result = DiffResult()
@@ -307,8 +350,10 @@ def diff_runs(dir_a: str | Path, dir_b: str | Path) -> DiffResult:
             result.lines.append(f"  ok {name}")
     metrics_a, metrics_b = dir_a / "metrics.json", dir_b / "metrics.json"
     if metrics_a.exists() and metrics_b.exists():
-        counters_a = _comparable_counters(json.loads(metrics_a.read_text()))
-        counters_b = _comparable_counters(json.loads(metrics_b.read_text()))
+        doc_a = json.loads(metrics_a.read_text())
+        doc_b = json.loads(metrics_b.read_text())
+        counters_a = _comparable_counters(doc_a)
+        counters_b = _comparable_counters(doc_b)
         diverged = sorted(
             name
             for name in {*counters_a, *counters_b}
@@ -324,6 +369,7 @@ def diff_runs(dir_a: str | Path, dir_b: str | Path) -> DiffResult:
             result.lines.append(
                 f"  ok metrics.json ({len(counters_a)} comparable counters)"
             )
+        result.lines.extend(_stage_time_lines(doc_a, doc_b))
     result.lines.append(
         "runs diverge" if result.divergent else "zero artefact divergence"
     )

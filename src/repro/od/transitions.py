@@ -18,11 +18,14 @@ pairs (T-L, L-T, T-S, S-T).  The funnel stages mirror Table 3:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from repro.cleaning.segmentation import TripSegment
 from repro.geo.polygon import Polygon
 from repro.obs import get_journal, get_logger, get_registry, span
-from repro.od.gates import CrossingEvent, Gate, find_crossings
+from repro.od.gates import CrossingEvent, Gate, crossing_events
 
 _log = get_logger(__name__)
 
@@ -125,23 +128,49 @@ class TransitionExtractor:
         self.config = config or TransitionConfig()
 
     def extract_segment(self, seg: TripSegment, to_xy) -> SegmentExtraction:
-        """Run funnel stages 2-4 on one segment — pure and parallelisable."""
+        """Run funnel stages 2-4 on one segment — the one-segment form of
+        :meth:`extract_segments`, timed by an ``extract_segment`` detail
+        span (the streaming service's unit)."""
         with span(
             "extract_segment", detail=True, attrs={"segment_id": seg.segment_id}
         ):
-            return self._extract_segment(seg, to_xy)
+            return self.extract_segments([seg], to_xy)[0]
 
-    def _extract_segment(self, seg: TripSegment, to_xy) -> SegmentExtraction:
-        xys = [to_xy(p) for p in seg.points]
-        times = [p.time_s for p in seg.points]
-        events = find_crossings(xys, times, self.gates)
-        if not events:
-            return SegmentExtraction(car_id=seg.car_id)
-        transition = self._first_studied_pair(seg, events)
-        if transition is None:
-            return SegmentExtraction(car_id=seg.car_id, crossed=True)
-        transition.within_centre = self._within_centre(transition, xys)
-        return SegmentExtraction(car_id=seg.car_id, crossed=True, transition=transition)
+    def extract_segments(
+        self, segments: list[TripSegment], to_xy
+    ) -> list[SegmentExtraction]:
+        """Run funnel stages 2-4 on a batch of segments — pure and parallelisable.
+
+        Every point goes through ``to_xy`` once, into one ``(n, 2)``
+        array; the gate prefilter then runs over all of the batch's
+        movements at once (:func:`~repro.od.gates.crossing_events`).  A
+        batch records no per-segment detail spans.
+        """
+        points = [p for seg in segments for p in seg.points]
+        xy = np.fromiter(
+            chain.from_iterable(map(to_xy, points)),
+            dtype=np.float64,
+            count=2 * len(points),
+        ).reshape(-1, 2)
+        times = [p.time_s for p in points]
+        offsets = [0]
+        for seg in segments:
+            offsets.append(offsets[-1] + len(seg.points))
+        events = crossing_events(xy, times, offsets, self.gates)
+        out = []
+        for seg, seg_events, lo, hi in zip(segments, events, offsets, offsets[1:]):
+            if not seg_events:
+                out.append(SegmentExtraction(car_id=seg.car_id))
+                continue
+            transition = self._first_studied_pair(seg, seg_events)
+            if transition is None:
+                out.append(SegmentExtraction(car_id=seg.car_id, crossed=True))
+                continue
+            transition.within_centre = self._within_centre(transition, xy[lo:hi].tolist())
+            out.append(
+                SegmentExtraction(car_id=seg.car_id, crossed=True, transition=transition)
+            )
+        return out
 
     def compute_units(
         self, segments: list[TripSegment], to_xy, executor=None
@@ -150,11 +179,13 @@ class TransitionExtractor:
 
         The compute half of :meth:`extract`, factored out so the shard
         store planner can run it over only the dirty segments and pass
-        the folded whole back through ``extractions``.
+        the folded whole back through ``extractions``.  Serially the
+        segments are one :meth:`extract_segments` batch; pooled, each
+        chunk is.
         """
         if executor is not None and executor.parallel:
             return executor.extract_segments(segments)
-        return [self.extract_segment(seg, to_xy) for seg in segments]
+        return self.extract_segments(segments, to_xy)
 
     def extract(
         self,

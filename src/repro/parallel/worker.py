@@ -122,12 +122,12 @@ class WorkerContext:
     # -- chunk handlers (one per task kind) ---------------------------------
 
     def clean(self, trips: list) -> list:
-        return [self.pipeline.clean_trip_unit(trip) for trip in trips]
+        return self.pipeline.clean_trips(trips)
 
     def extract(self, segments: list[TripSegment]) -> list:
         if self.extractor is None:
             raise RuntimeError("worker has no city context (city_spec not set)")
-        return [self.extractor.extract_segment(seg, self.to_xy) for seg in segments]
+        return self.extractor.extract_segments(segments, self.to_xy)
 
     def match(self, tasks: list[MatchTask]) -> list[MatchOutcome]:
         if self.matcher is None:

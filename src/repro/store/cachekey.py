@@ -118,17 +118,21 @@ def shard_input_hash(trips) -> str:
     Hashes the columnar bytes of every route point (ids, coordinates,
     timestamps, speeds, fuel) plus the trip identities — exactly the
     data the pipeline consumes, so byte-identical inputs always hit and
-    any edited fix is a miss.
+    any edited fix is a miss.  The columns come from one
+    :class:`~repro.traces.arrays.FleetArrays` per shard, hashed one
+    trip's slice at a time.
     """
-    from repro.traces.arrays import TraceArrays
+    from repro.traces.arrays import FleetArrays
 
+    arrays = FleetArrays.from_trips(trips)
+    columns = sorted(arrays.columns().items())
+    bounds = arrays.offsets.tolist()
     h = hashlib.blake2b(digest_size=20)
-    for trip in trips:
+    for trip, lo, hi in zip(trips, bounds, bounds[1:]):
         h.update(f"t|{trip.trip_id}|{trip.car_id}|{len(trip.points)}".encode())
-        arrays = TraceArrays.from_trip(trip)
-        for name, column in sorted(arrays.columns().items()):
+        for name, column in columns:
             h.update(name.encode())
-            h.update(column.tobytes())
+            h.update(column[lo:hi].tobytes())
     return h.hexdigest()
 
 

@@ -375,7 +375,7 @@ class StreamService:
             row = corrupted
             fault_tag = "injected:io"
         try:
-            point = parse_point_row(row)
+            point, car_id = parse_point_row(row)
         except ValueError as exc:
             get_registry().counter("io.rows_quarantined").inc()
             trip_id = row_trip_id(row)
@@ -389,7 +389,7 @@ class StreamService:
             self._io_q.add(error)
             self._io_errors.append(error)
             return
-        self._accept(point, int(row["car_id"]))
+        self._accept(point, car_id)
 
     def _dead_letter(self, trip_id: int, kind: str, message: str) -> None:
         error = TripError(stage="stream", kind=kind, message=message,

@@ -14,23 +14,23 @@ This package provides the same data in synthetic form:
   synthetic city with light stops, pedestrian hotspots, seasonal effects
   and event-based sampling;
 * :mod:`repro.traces.io` — CSV/JSONL round-tripping;
-* :mod:`repro.traces.arrays` — the struct-of-arrays columnar view the
-  vectorized cleaning kernels consume.
+* :mod:`repro.traces.arrays` — the struct-of-arrays batch of trips the
+  cleaning kernels consume.
 """
 
-from repro.traces.arrays import TraceArrays
+from repro.traces.arrays import FleetArrays
 from repro.traces.model import FleetData, RoutePoint, Trip, TripSummary, trip_distance_m
 from repro.traces.noise import NoiseSpec, apply_noise
 from repro.traces.simulator import CustomerRun, FleetSpec, TaxiFleetSimulator
 
 __all__ = [
     "CustomerRun",
+    "FleetArrays",
     "FleetData",
     "FleetSpec",
     "NoiseSpec",
     "RoutePoint",
     "TaxiFleetSimulator",
-    "TraceArrays",
     "Trip",
     "TripSummary",
     "apply_noise",

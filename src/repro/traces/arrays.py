@@ -1,33 +1,39 @@
 """Struct-of-arrays trace representation.
 
-:class:`TraceArrays` holds one trip's route points as parallel NumPy
-columns — the shape the vectorized cleaning kernels consume.  The
-row-oriented :class:`~repro.traces.model.RoutePoint` dataclasses stay the
-canonical interchange format; ``from_trip``/``from_points`` and
-``to_points`` convert losslessly between the two, and the gap arrays
-(per-gap great-circle distance and time delta) are computed once and
-cached so ordering repair, Table 2 segmentation and the segment-length
-filters all share a single geometry pass.
+:class:`FleetArrays` holds a batch of trips' route points as parallel
+NumPy columns plus per-trip offsets — the shape the cleaning kernels
+consume.  A batch is a whole fleet on the serial path, one chunk per
+pool task, or a single trip on the streaming path; a one-trip batch is
+simply ``offsets == [0, n]``.  The row-oriented
+:class:`~repro.traces.model.RoutePoint` dataclasses stay the interchange
+format: every column is built in one ``np.fromiter`` pass over the
+batch's points.
+
+Rows are trip-major: trip ``k`` owns rows ``offsets[k]:offsets[k + 1]``.
+Gap arrays (great-circle distance and time delta between consecutive
+rows) are computed once per batch and cached; a gap that joins the last
+row of one trip to the first row of the next is computed too, and
+:meth:`FleetArrays.inner_gaps` masks it out.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geo.distance import EARTH_RADIUS_M
-from repro.geo.vector import gap_metrics
+from repro.geo.vector import gap_metrics, haversine_m_vec
 from repro.traces.model import RoutePoint, Trip
 
 
 @dataclass
-class TraceArrays:
-    """One trip's route points as parallel columns.
+class FleetArrays:
+    """A batch of trips' route points as parallel columns.
 
-    ``x``/``y`` are optional precomputed plane coordinates (present when a
-    projector was supplied at construction).  Columns must be treated as
-    read-only; the cached gap arrays assume they never change.
+    Columns must be treated as read-only; the cached trip index and gap
+    arrays assume they never change (derive a new batch with
+    :meth:`take` instead).
     """
 
     point_id: np.ndarray   # (n,) int64
@@ -36,113 +42,136 @@ class TraceArrays:
     time_s: np.ndarray     # (n,) float64
     speed_kmh: np.ndarray  # (n,) float64
     fuel_ml: np.ndarray    # (n,) float64
-    x: np.ndarray | None = None  # (n,) float64, metres east of the reference
-    y: np.ndarray | None = None  # (n,) float64, metres north of the reference
+    offsets: np.ndarray    # (n_trips + 1,) int64, trip k = rows offsets[k]:offsets[k+1]
+    trip_ids: np.ndarray   # (n_trips,) int64
+    car_ids: np.ndarray    # (n_trips,) int64
+    _trip_index: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _gaps: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    # -- converters ---------------------------------------------------------
+    #: The point columns, in schema order.
+    COLUMN_NAMES = ("point_id", "lat", "lon", "time_s", "speed_kmh", "fuel_ml")
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: list[RoutePoint], projector=None) -> "TraceArrays":
-        """Columnar view of a point list.
-
-        ``projector`` is an optional
-        :class:`~repro.geo.projection.LocalProjector`; when given, the
-        ``x``/``y`` columns are filled with exactly the values its scalar
-        ``to_xy`` would produce (same operations, batched).
-        """
-        n = len(points)
-        point_id = np.fromiter((p.point_id for p in points), dtype=np.int64, count=n)
-        lat = np.fromiter((p.lat for p in points), dtype=np.float64, count=n)
-        lon = np.fromiter((p.lon for p in points), dtype=np.float64, count=n)
-        time_s = np.fromiter((p.time_s for p in points), dtype=np.float64, count=n)
-        speed = np.fromiter((p.speed_kmh for p in points), dtype=np.float64, count=n)
-        fuel = np.fromiter((p.fuel_ml for p in points), dtype=np.float64, count=n)
-        x = y = None
-        if projector is not None:
-            x = np.radians(lon - projector.ref_lon) * projector._cos_ref * EARTH_RADIUS_M
-            y = np.radians(lat - projector.ref_lat) * EARTH_RADIUS_M
-        return cls(
-            point_id=point_id, lat=lat, lon=lon, time_s=time_s,
-            speed_kmh=speed, fuel_ml=fuel, x=x, y=y,
+    def from_trips(cls, trips: list[Trip]) -> "FleetArrays":
+        """Columnar view of a batch of trips (one ``np.fromiter`` per column)."""
+        counts = np.fromiter(
+            (len(t.points) for t in trips), dtype=np.int64, count=len(trips)
+        )
+        points = [p for t in trips for p in t.points]
+        return cls._build(
+            points,
+            counts,
+            np.fromiter((t.trip_id for t in trips), dtype=np.int64, count=len(trips)),
+            np.fromiter((t.car_id for t in trips), dtype=np.int64, count=len(trips)),
         )
 
     @classmethod
-    def from_trip(cls, trip: Trip, projector=None) -> "TraceArrays":
-        return cls.from_points(trip.points, projector=projector)
+    def from_trip(cls, trip: Trip) -> "FleetArrays":
+        """A one-trip batch."""
+        return cls.from_trips([trip])
 
-    def to_points(self, trip_id: int) -> list[RoutePoint]:
-        """Row-oriented points (the exact inverse of ``from_points``)."""
-        return [
-            RoutePoint(
-                point_id=int(self.point_id[i]),
-                trip_id=trip_id,
-                lat=float(self.lat[i]),
-                lon=float(self.lon[i]),
-                time_s=float(self.time_s[i]),
-                speed_kmh=float(self.speed_kmh[i]),
-                fuel_ml=float(self.fuel_ml[i]),
+    @classmethod
+    def from_points(cls, points: list[RoutePoint]) -> "FleetArrays":
+        """A one-trip batch over a bare point list (trip and car id 0)."""
+        zero = np.zeros(1, dtype=np.int64)
+        return cls._build(points, np.array([len(points)], dtype=np.int64), zero, zero)
+
+    @classmethod
+    def _build(cls, points, counts, trip_ids, car_ids) -> "FleetArrays":
+        n = len(points)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        columns = {
+            name: np.fromiter(
+                map(operator.attrgetter(name), points),
+                dtype=np.int64 if name == "point_id" else np.float64,
+                count=n,
             )
-            for i in range(len(self))
-        ]
+            for name in cls.COLUMN_NAMES
+        }
+        return cls(**columns, offsets=offsets, trip_ids=trip_ids, car_ids=car_ids)
+
+    def take(self, rows: np.ndarray, **columns: np.ndarray) -> "FleetArrays":
+        """The batch restricted to (and reordered by) ``rows``.
+
+        ``rows`` must keep every trip's rows inside that trip's span, in
+        trip order — a per-trip permutation or a filter.  Keyword
+        ``columns`` replace the gathered column of that name (they are
+        already aligned with ``rows``).
+        """
+        counts = np.bincount(self.trip_index()[rows], minlength=self.n_trips)
+        offsets = np.zeros(self.n_trips + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        gathered = {
+            name: columns[name] if name in columns else getattr(self, name)[rows]
+            for name in self.COLUMN_NAMES
+        }
+        return FleetArrays(
+            **gathered, offsets=offsets, trip_ids=self.trip_ids, car_ids=self.car_ids
+        )
+
+    # -- shape --------------------------------------------------------------
 
     def __len__(self) -> int:
         return int(self.lat.shape[0])
 
-    # -- columnar (de)serialisation -----------------------------------------
+    @property
+    def n_trips(self) -> int:
+        return int(self.offsets.shape[0]) - 1
 
-    #: The persisted columns, in schema order (``x``/``y`` are derived
-    #: and never persisted).
-    COLUMN_NAMES = ("point_id", "lat", "lon", "time_s", "speed_kmh", "fuel_ml")
+    def trip_index(self) -> np.ndarray:
+        """``(n,)`` batch position of each row's trip (cached)."""
+        if self._trip_index is None:
+            offsets = self.offsets
+            self._trip_index = np.repeat(
+                np.arange(self.n_trips, dtype=np.int64), offsets[1:] - offsets[:-1]
+            )
+        return self._trip_index
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The persistable columns by name (views, not copies)."""
+        """The point columns by name (views, not copies)."""
         return {name: getattr(self, name) for name in self.COLUMN_NAMES}
-
-    @classmethod
-    def from_columns(cls, columns: dict[str, np.ndarray]) -> "TraceArrays":
-        """Wrap existing columns without copying.
-
-        The arrays are adopted as-is — passing ``np.load(...,
-        mmap_mode="r")`` views gives a zero-copy, memory-mapped trace:
-        column data stays on disk until a kernel actually touches it,
-        which is how the shard store serves cleaned traces
-        (:mod:`repro.store.shards`).  Columns must be treated as
-        read-only, like every ``TraceArrays``.
-        """
-        return cls(**{name: columns[name] for name in cls.COLUMN_NAMES})
 
     # -- cached gap geometry ------------------------------------------------
 
     def gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(dist_m, dt_s)`` arrays over consecutive-point gaps (cached)."""
+        """``(dist_m, dt_s)`` arrays over consecutive-row gaps (cached).
+
+        Gap ``g`` joins rows ``g`` and ``g + 1``; see :meth:`inner_gaps`
+        for which gaps lie inside one trip.
+        """
         if self._gaps is None:
             self._gaps = gap_metrics(self.lat, self.lon, self.time_s)
         return self._gaps
 
-    def gap_distances_m(self) -> np.ndarray:
-        return self.gaps()[0]
+    def inner_gaps(self) -> np.ndarray:
+        """``(n - 1,)`` mask of the gaps whose two rows share a trip."""
+        trip = self.trip_index()
+        return trip[:-1] == trip[1:]
 
-    def gap_dt_s(self) -> np.ndarray:
-        return self.gaps()[1]
+    def path_lengths_m(self, rows: np.ndarray | None = None) -> list[float]:
+        """Each trip's length — the sum of its great-circle hops.
 
-    def total_distance_m(self) -> float:
-        """Trip length — sum of the great-circle hops."""
-        return float(np.sum(self.gap_distances_m()))
-
-    def distance_under(self, order: np.ndarray) -> float:
-        """Trip length when the points are visited in ``order``.
-
-        ``order`` is an index permutation (e.g. ``np.argsort`` of the
-        point-id or timestamp column) — this is the quantity the ordering
-        repair compares between the two candidate orderings.
+        With ``rows`` (a per-trip permutation, as for :meth:`take`) the
+        trips are walked in that order instead.  Each length is a
+        ``np.sum`` over the trip's own slice of the hop array, so it is
+        bit-identical to summing a one-trip batch: segmented reductions
+        (``np.add.reduceat``, ``cumsum`` differences) associate the
+        additions differently and are not.
         """
-        from repro.geo.vector import haversine_m_vec
-
-        lat = self.lat[order]
-        lon = self.lon[order]
-        if lat.shape[0] < 2:
-            return 0.0
-        return float(np.sum(haversine_m_vec(lat[:-1], lon[:-1], lat[1:], lon[1:])))
+        if rows is None:
+            hops = self.gaps()[0]
+        else:
+            lat, lon = self.lat[rows], self.lon[rows]
+            hops = haversine_m_vec(lat[:-1], lon[:-1], lat[1:], lon[1:])
+        bounds = self.offsets.tolist()
+        return [
+            float(hops[lo : hi - 1].sum()) if hi - lo > 1 else 0.0
+            for lo, hi in zip(bounds, bounds[1:])
+        ]

@@ -49,8 +49,9 @@ def write_points_csv(fleet: FleetData, path: str | Path) -> int:
     return count
 
 
-def parse_point_row(row: dict) -> RoutePoint:
-    """Parse one CSV row strictly; raises ValueError on any damage.
+def parse_point_row(row: dict) -> tuple[RoutePoint, int]:
+    """Parse one CSV row strictly into ``(point, car_id)``; raises
+    ValueError on any damage.
 
     Shared by the batch reader below and the streaming ingest
     (:mod:`repro.stream.service`), so a row is judged malformed by
@@ -61,6 +62,7 @@ def parse_point_row(row: dict) -> RoutePoint:
     if missing:
         raise ValueError(f"truncated_row: missing fields {missing}")
     try:
+        car_id = int(row["car_id"])
         point = RoutePoint(
             point_id=int(row["point_id"]),
             trip_id=int(row["trip_id"]),
@@ -75,7 +77,7 @@ def parse_point_row(row: dict) -> RoutePoint:
     if not all(map(math.isfinite, (point.lat, point.lon, point.time_s,
                                    point.speed_kmh, point.fuel_ml))):
         raise ValueError("non_finite: lat/lon/time/speed/fuel must be finite")
-    return point
+    return point, car_id
 
 
 #: Backwards-compatible alias (pre-streaming name).
@@ -123,7 +125,7 @@ def read_points_csv(
                 row = corrupted
                 fault_tag = "injected:io"
             try:
-                point = parse_point_row(row)
+                point, car_id = parse_point_row(row)
             except ValueError as exc:
                 registry.counter("io.rows_quarantined").inc()
                 trip_id = row_trip_id(row)
@@ -137,7 +139,7 @@ def read_points_csv(
                 continue
             trip = trips.get(point.trip_id)
             if trip is None:
-                trip = Trip(trip_id=point.trip_id, car_id=int(row["car_id"]))
+                trip = Trip(trip_id=point.trip_id, car_id=car_id)
                 trips[point.trip_id] = trip
             trip.points.append(point)
     for trip_id in sorted(damaged_trip_ids - set(trips)):

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cleaning import CleaningPipeline
+from repro.cleaning import CleaningPipeline, FilterConfig, SegmentationConfig
+from repro.cleaning import pipeline as pipeline_module
 from repro.faults import (
     FaultPlan,
     InjectedFault,
     Quarantine,
     RobustnessConfig,
+    guarded_call,
     inject_faults,
+    maybe_inject,
 )
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import BufferJournal, MetricsRegistry, use_journal, use_registry
 from repro.traces.model import FleetData
+from tests.oracles import pertrip
 
 #: Retry config with no real sleeping — chaos tests never wait on clocks.
 FAST_RETRY = RobustnessConfig(retries=2, backoff_base_s=0.0)
@@ -90,3 +94,92 @@ def test_fault_free_robust_run_equals_legacy(fleet):
     legacy = CleaningPipeline().run(fleet)
     assert robust.segments == legacy.segments
     assert robust.report.errors == []
+
+
+def _mixed_fault_batch(fleet, chaos_seed):
+    """A plan plus a 12-trip batch in which the plan picks exactly one
+    trip permanently and one transiently, and a third trip (neither)
+    is left to fail organically."""
+    plan = FaultPlan(seed=chaos_seed, clean_error_rate=0.15, transient_rate=0.5)
+    permanent = [t for t in fleet.trips if plan.picks("clean", t.trip_id)
+                 and not plan.is_transient("clean", t.trip_id)]
+    transient = [t for t in fleet.trips if plan.picks("clean", t.trip_id)
+                 and plan.is_transient("clean", t.trip_id)]
+    clean = [t for t in fleet.trips if not plan.picks("clean", t.trip_id)]
+    assert permanent and transient and len(clean) >= 10
+    trips = sorted([permanent[0], transient[0], *clean[:10]], key=lambda t: t.trip_id)
+    return plan, FleetData(trips=trips), permanent[0].trip_id, clean[4].trip_id
+
+
+def _run_observed(pipeline, fleet, plan, per_trip_fn=None):
+    """Run the pipeline under ``plan``; return (result, faults counters,
+    lineage events).  ``per_trip_fn`` computes the per-trip results
+    itself (inside the same injection scope) instead of the pipeline."""
+    registry = MetricsRegistry()
+    events: list[dict] = []
+    with use_registry(registry), use_journal(BufferJournal(events)), \
+            inject_faults(plan):
+        per_trip = per_trip_fn(fleet.trips) if per_trip_fn else None
+        result = pipeline.run(fleet, per_trip=per_trip)
+    counters = {
+        name: value
+        for name, value in registry.snapshot()["counters"].items()
+        if name.startswith("faults.")
+    }
+    lineage = [
+        {k: v for k, v in e.items() if k != "ts"}
+        for e in events if e["kind"] == "lineage"
+    ]
+    return result, counters, lineage
+
+
+def test_batch_isolates_injected_and_organic_failures(fleet, chaos_seed, monkeypatch):
+    plan, batch, permanent_id, organic_id = _mixed_fault_batch(fleet, chaos_seed)
+    real_kernel = pipeline_module.clean_batch
+
+    def organic(trip_id):
+        return RuntimeError(f"organic failure in trip {trip_id}")
+
+    def flaky_kernel(trips, *args, **kwargs):
+        # Raises for the whole batch whenever the organic trip is in it.
+        if any(t.trip_id == organic_id for t in trips):
+            raise organic(organic_id)
+        return real_kernel(trips, *args, **kwargs)
+
+    def one_trip_at_a_time(trips):
+        """The per-trip unit each trip ran before batching: injection,
+        then that trip's cleaning, inside one guard."""
+        def unit(trip):
+            maybe_inject("clean", trip.trip_id)
+            if trip.trip_id == organic_id:
+                raise organic(organic_id)
+            return pertrip.clean_trip(trip, FilterConfig(), SegmentationConfig())
+
+        out = []
+        for trip in trips:
+            result, error = guarded_call(
+                "clean", unit, trip, robustness=FAST_RETRY, trip_id=trip.trip_id
+            )
+            out.append(error if error is not None else result)
+        return out
+
+    pipeline = CleaningPipeline(robustness=FAST_RETRY)
+    reference, ref_counters, ref_lineage = _run_observed(
+        pipeline, batch, plan, one_trip_at_a_time
+    )
+    monkeypatch.setattr(pipeline_module, "clean_batch", flaky_kernel)
+    degraded, counters, lineage = _run_observed(pipeline, batch, plan)
+
+    assert [e.trip_id for e in degraded.report.errors] == sorted(
+        [permanent_id, organic_id]
+    )
+    assert degraded.report.errors == reference.report.errors
+    assert counters == ref_counters
+    assert counters["faults.retry_success"] == 1
+    assert lineage == ref_lineage
+    survivors = FleetData(trips=[
+        t for t in batch.trips if t.trip_id not in (permanent_id, organic_id)
+    ])
+    fault_free = CleaningPipeline().run(survivors)
+    assert repr(degraded.segments) == repr(fault_free.segments)
+    assert degraded.report.segments_out == fault_free.report.segments_out

@@ -144,6 +144,37 @@ class TestDiffRuns:
         assert "DIFF table3.txt" in text
         assert "DIFF counter od.post_filter_kept" in text
 
+    def test_stage_time_deltas_are_informational(self, tmp_path):
+        spans_a = [{"name": "study", "seconds": 2.0, "children": [
+            {"name": "simulate", "seconds": 1.0},
+            {"name": "clean", "seconds": 0.5},
+        ]}]
+        spans_b = [{"name": "study", "seconds": 1.6, "children": [
+            {"name": "simulate", "seconds": 1.0},
+            {"name": "clean", "seconds": 0.1},
+            {"name": "extract", "seconds": 0.4},
+        ]}]
+        dirs = []
+        for name, spans in (("a", spans_a), ("b", spans_b)):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "metrics.json").write_text(
+                json.dumps({"counters": {"od.post_filter_kept": 5}, "spans": spans})
+            )
+            dirs.append(d)
+        result = diff_runs(*dirs)
+        assert not result.divergent
+        lines = result.render().splitlines()
+        assert not any(line.startswith("DIFF") for line in lines)
+        rows = {
+            line.split()[1]: line.split()[2:]
+            for line in lines if line.startswith("  time ")
+        }
+        assert list(rows) == ["stage", "simulate", "clean", "extract"]
+        assert rows["simulate"] == ["1.0000", "1.0000", "+0.0%", "50.0%", "62.5%"]
+        assert rows["clean"] == ["0.5000", "0.1000", "-80.0%", "25.0%", "6.2%"]
+        assert rows["extract"] == ["-", "0.4000", "-", "-", "25.0%"]
+
     def test_missing_artefact_diverges(self, tmp_path):
         a = self._run_dir(tmp_path, "a", {})
         b = tmp_path / "b"

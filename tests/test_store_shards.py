@@ -35,6 +35,7 @@ from repro.store import (
 from repro.store.cachekey import STAGES
 from repro.parallel import ExecutorConfig
 from repro.traces import FleetSpec
+from repro.traces.model import RoutePoint, Trip
 
 
 def small_config(store_dir=None, **overrides) -> StudyConfig:
@@ -209,6 +210,24 @@ class TestCacheKeys:
         trips = fleet.trips[:3]
         assert shard_input_hash(trips) == shard_input_hash(list(trips))
         assert shard_input_hash(trips) != shard_input_hash(trips[:2])
+
+    def test_shard_input_hash_digest_is_stable(self):
+        # A fixed fleet's digest, pinned: store keys written by earlier
+        # releases must keep hitting however the columns are built.  The
+        # fleet mixes empty, one-point and multi-point trips.
+        trips = []
+        for k, n in enumerate((5, 0, 1, 7)):
+            points = [
+                RoutePoint(
+                    point_id=100 * k + i, trip_id=k + 1,
+                    lat=65.0 + 1e-3 * i + 1e-7 * k, lon=25.4 + 2e-3 * i,
+                    time_s=30.0 * i + 0.25 * k, speed_kmh=10.0 + i, fuel_ml=5.5 * i,
+                )
+                for i in range(n)
+            ]
+            trips.append(Trip(trip_id=k + 1, car_id=7 + k % 2, points=points))
+        assert shard_input_hash(trips) == "7adfff2a69df76b55082681ffcf60f10b08a60ce"
+        assert shard_input_hash([]) == "3345524abf6bbe1809449224b5972c41790b6cf2"
 
     def test_chain_key_orders_parts(self):
         assert chain_key("a", "b") != chain_key("b", "a")

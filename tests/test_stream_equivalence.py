@@ -23,11 +23,10 @@ import threading
 import time
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import OuluStudy
+from repro.experiments import OuluStudy, StudyConfig
 from repro.faults import FaultPlan, Quarantine, inject_faults
 from repro.stream import (
     StreamConfig,
@@ -173,3 +172,20 @@ class TestServeCli:
                 (batch_out / name).read_bytes(), f"{name} diverged"
         assert (serve_out / "windows.jsonl").exists()
         assert (serve_out / "metrics.json").exists()
+
+
+class TestMalformedInput:
+    def test_bad_car_id_rows_are_quarantined_not_raised(self):
+        # The stream shares the batch reader's row parser: a non-integer
+        # car id on a trip's first row, or on a later row, is a
+        # parse_error record with its row index, not a crash.
+        path = REPO / "tests" / "data" / "corrupt_traces" / "bad_car_id.csv"
+        result = run_stream(StudyConfig(), path)
+        io_errors = [e for e in result.errors if e.stage == "io"]
+        assert [(e.kind, e.row) for e in io_errors] == [
+            ("parse_error", 2), ("parse_error", 3),
+        ]
+        quarantine = Quarantine()
+        read_points_csv(path, quarantine=quarantine)
+        assert io_errors == quarantine.errors
+        assert result.trips_seen == 2

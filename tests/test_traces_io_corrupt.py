@@ -28,6 +28,7 @@ CASES = {
     "non_monotonic.csv": ([30], 3, {"non_monotonic_ids"}),
     "empty_trip.csv": ([40], 1, {"parse_error", "truncated_row", "empty_trip"}),
     "utf8_garbage.csv": ([60], 2, {"parse_error"}),
+    "bad_car_id.csv": ([80, 90], 3, {"parse_error"}),
 }
 
 
@@ -61,6 +62,19 @@ def test_corrupt_rows_attribute_trip_ids():
     read_points_csv(CORPUS / "empty_trip.csv", quarantine=quarantine)
     empties = [e for e in quarantine.errors if e.kind == "empty_trip"]
     assert [e.trip_id for e in empties] == [50]
+
+
+def test_bad_car_id_rows_quarantined_with_their_row():
+    # A non-integer car id on a trip's first row and on a later row of
+    # another trip: both rows are dropped and recorded, never raised.
+    quarantine = Quarantine()
+    fleet = read_points_csv(CORPUS / "bad_car_id.csv", quarantine=quarantine)
+    assert [(e.kind, e.row, e.trip_id) for e in quarantine.errors] == [
+        ("parse_error", 2, 80), ("parse_error", 3, 90),
+    ]
+    assert [(t.trip_id, t.car_id, len(t.points)) for t in fleet.trips] == [
+        (80, 8, 2), (90, 9, 1),
+    ]
 
 
 def test_without_explicit_quarantine_still_returns_survivors():

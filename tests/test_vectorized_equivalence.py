@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cleaning import pipeline as pipeline_module
-from repro.cleaning.ordering import _realign, repair_ordering
+from repro.cleaning.ordering import repair_ordering
 from repro.cleaning.segmentation import segment_trip
 from repro.experiments import OuluStudy, StudyConfig
 from repro.matching import IncrementalMatcher
@@ -28,7 +30,6 @@ from repro.matching.candidates import (
     candidates_for_point,
     candidates_for_points,
 )
-from repro.od import transitions as transitions_module
 from repro.od.gates import find_crossings
 from repro.od.transitions import TransitionExtractor
 from repro.parallel import study_gates
@@ -38,14 +39,35 @@ from repro.traces.model import RoutePoint, Trip
 from tests.oracles import candidates as candidates_oracle
 from tests.oracles import cleaning as cleaning_oracle
 from tests.oracles import gates as gates_oracle
+from tests.oracles import pertrip as pertrip_oracle
+
+
+def scalar_extract_segments(extractor, segments, to_xy):
+    """The extractor's batch method, one segment at a time through the
+    scalar gate oracle."""
+    return pertrip_oracle.extract_segments(
+        extractor, segments, to_xy, find_crossings=gates_oracle.find_crossings
+    )
 
 
 def patch_oracles(monkeypatch) -> None:
     """Route the pipeline's cleaning, gate and candidate kernels through
-    the scalar oracles (matching and gap fill stay as they are)."""
-    monkeypatch.setattr(pipeline_module, "repair_ordering", cleaning_oracle.repair_ordering)
-    monkeypatch.setattr(pipeline_module, "segment_trip", cleaning_oracle.segment_trip)
-    monkeypatch.setattr(transitions_module, "find_crossings", gates_oracle.find_crossings)
+    the scalar oracles (matching and gap fill stay as they are).
+
+    Cleaning and gating run as batch kernels, so the oracles go in at
+    that level: one trip (segment) at a time, with the scalar ordering,
+    segmentation and crossing references as the per-unit stages.
+    """
+    monkeypatch.setattr(
+        pipeline_module,
+        "clean_batch",
+        partial(
+            pertrip_oracle.clean_batch,
+            repair_ordering=cleaning_oracle.repair_ordering,
+            segment_trip=cleaning_oracle.segment_trip,
+        ),
+    )
+    monkeypatch.setattr(TransitionExtractor, "extract_segments", scalar_extract_segments)
     for module in (incremental_module, hmm_module):
         monkeypatch.setattr(
             module, "candidates_for_points", candidates_oracle.candidates_for_points
@@ -109,8 +131,11 @@ class TestOrderingEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=100, deadline=None)
     def test_realign_matches_reference(self, trip):
-        # repr shows every field, each float exactly.
-        assert repr(_realign(trip.points)) == repr(cleaning_oracle._realign(trip.points))
+        # The repaired points are the chosen sequence realigned; repr
+        # shows every field, each float exactly.
+        repaired, report = repair_ordering(trip)
+        sequence = sorted(trip.points, key=attrgetter(report.chosen))
+        assert repr(repaired.points) == repr(cleaning_oracle._realign(sequence))
 
 
 class TestGateCrossingEquivalence:
@@ -194,7 +219,9 @@ class TestExtractionEquivalence:
         gates = study_gates(city)
         segments = clean_result.segments[:150]
         vectorized = TransitionExtractor(gates, city.central_area).extract(segments, to_xy)
-        monkeypatch.setattr(transitions_module, "find_crossings", gates_oracle.find_crossings)
+        monkeypatch.setattr(
+            TransitionExtractor, "extract_segments", scalar_extract_segments
+        )
         scalar = TransitionExtractor(gates, city.central_area).extract(segments, to_xy)
         assert scalar.funnel == vectorized.funnel
         assert len(scalar.transitions) == len(vectorized.transitions)

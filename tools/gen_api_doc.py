@@ -2,6 +2,9 @@
 
 Walks every ``repro`` subpackage, reads its ``__all__`` exports and the
 first docstring line of each, and renders a compact API reference.
+``render()`` returns the text; running the file writes it.  The test
+suite compares ``render()`` with the committed file, so a public API
+change must come with a regenerated reference.
 
 Run:  python tools/gen_api_doc.py
 """
@@ -122,7 +125,12 @@ def document_module(name: str, explicit_all: bool = True) -> list[str]:
     return lines
 
 
-def main() -> None:
+#: The generated reference, committed so readers need not run the tool.
+API_DOC = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+
+
+def render() -> str:
+    """The full text of ``docs/api.md`` for the current source tree."""
     out: list[str] = [
         "# API reference",
         "",
@@ -135,10 +143,10 @@ def main() -> None:
     out.append("")
     for name in EXTRA_MODULES:
         out.extend(document_module(name, explicit_all=False))
-    path = Path(__file__).resolve().parent.parent / "docs" / "api.md"
-    path.write_text("\n".join(out) + "\n")
-    print(f"wrote {path} ({len(out)} lines)")
+    return "\n".join(out) + "\n"
 
 
 if __name__ == "__main__":
-    main()
+    text = render()
+    API_DOC.write_text(text)
+    print(f"wrote {API_DOC} ({len(text.splitlines())} lines)")
