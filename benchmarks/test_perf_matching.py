@@ -1,9 +1,9 @@
 """Engineering benches: map-matching throughput, incremental vs HMM.
 
 ``test_perf_hmm_matcher`` times the Viterbi decode alone (NumPy forward
-pass + one many-to-many transition-distance batch per trip, prepared CH
-engine) over pre-built candidate layers; candidate generation and gap
-filling are excluded from the measurement.
+pass + one batched transition-distance query per trip, a fresh route
+cache per sweep) over pre-built candidate layers; candidate generation
+and gap filling are excluded from the measurement.
 """
 
 import math
@@ -14,10 +14,7 @@ from repro.matching import HmmMatcher, IncrementalMatcher
 from repro.matching.candidates import candidates_for_points
 from repro.matching.hmm import _collect_transition_pairs
 from repro.matching.types import edge_entries, edge_exits, movement_directions
-from repro.roadnet.ch import prepare_ch
 from repro.roadnet.routing import RouteCache
-
-from benchmarks.test_perf_route_matrix import _reset_matrix_memos
 
 
 def _segments(bench_study, n):
@@ -101,13 +98,9 @@ def test_perf_incremental_matcher(benchmark, bench_study, save_artifact):
 
 def test_perf_hmm_matcher(benchmark, bench_study, hmm_decode_workload):
     graph, prepped = hmm_decode_workload
-    ch_engine = prepare_ch(graph, weight="length")
 
     def sweep():
-        _reset_matrix_memos(ch_engine)
-        matcher = HmmMatcher(
-            graph, route_cache=RouteCache(), routing_engine=ch_engine
-        )
+        matcher = HmmMatcher(graph, route_cache=RouteCache())
         for args in prepped:
             matcher._viterbi(*args)
 
@@ -119,10 +112,7 @@ def test_hmm_matcher_end_to_end_sanity(bench_study):
     """The full matcher still matches every bench segment."""
     city = bench_study.city
     segments = _segments(bench_study, 10)
-    engine = prepare_ch(city.graph, weight="length")
-    matcher = HmmMatcher(
-        city.graph, route_cache=RouteCache(), routing_engine=engine
-    )
+    matcher = HmmMatcher(city.graph, route_cache=RouteCache())
 
     def to_xy(p):
         return city.projector.to_xy(p.lat, p.lon)

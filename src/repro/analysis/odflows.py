@@ -7,9 +7,8 @@ hour-of-day profiles, plus the summary indices urban studies use:
 flow symmetry and core dominance.
 
 :func:`gate_distance_matrix` adds the network side of the picture: the
-shortest driving distance between every pair of OD gates, resolved as a
-single batched query (one many-to-many matrix on a CH engine) instead of
-one shortest-path call per gate pair.
+shortest driving distance between every pair of OD gates, resolved
+through one :class:`~repro.roadnet.routing.RouteBatch` call.
 """
 
 from __future__ import annotations
@@ -128,16 +127,14 @@ class GateDistanceMatrix:
 def gate_distance_matrix(
     graph: RoadGraph,
     gates: list[Gate],
-    engine=None,
     route_cache: RouteCache | None = None,
 ) -> GateDistanceMatrix:
     """Route every gate-to-gate pair in one batched query.
 
     Each gate is anchored at the graph node nearest its road midpoint;
     all ordered pairs then resolve through one
-    :class:`~repro.roadnet.routing.RouteBatch` call — a single
-    many-to-many matrix query on a CH ``engine``, a plain loop on the
-    flat engines — so the distances are identical to per-pair
+    :class:`~repro.roadnet.routing.RouteBatch` call, so the distances
+    are identical to per-pair
     :func:`~repro.roadnet.routing.shortest_path` answers.
     """
     anchors: dict[str, int] = {}
@@ -154,7 +151,7 @@ def gate_distance_matrix(
         for d in names
         if anchors[o] != anchors[d]
     ]
-    batch = RouteBatch(graph, weight="length", cache=route_cache, engine=engine)
+    batch = RouteBatch(graph, weight="length", cache=route_cache)
     resolved = batch.resolve(pairs)
     distances: dict[tuple[str, str], float] = {}
     for o in names:

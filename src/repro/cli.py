@@ -28,11 +28,16 @@ metadata) as JSON, ``--journal-out FILE`` for the append-only run
 journal (``study`` always writes ``events.jsonl`` into ``--out``),
 ``--prom-out FILE`` for an OpenMetrics textfile, and ``--profile`` for
 a sampling span profiler (collapsed-stack output).
+
+A bad flag value or a missing input file is reported as one
+``repro <command>: <message>`` line on stderr with exit status 2,
+before the command writes anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,7 +67,7 @@ from repro.experiments import (
     table4_route_summaries,
     table5_cell_speed_strata,
 )
-from repro.roadnet import ROUTING_ENGINES, build_synthetic_oulu
+from repro.roadnet import build_synthetic_oulu
 from repro.store.shards import ShardStore, StoreConfig, StoreError
 from repro.stream import StreamConfig, StreamService
 from repro.traces import FleetSpec, TaxiFleetSimulator
@@ -128,16 +133,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="on-disk Dijkstra route cache to warm gap-filling from "
              "(written back by serial runs only)",
     )
-    parser.add_argument(
-        "--routing-engine", choices=ROUTING_ENGINES, default="dijkstra",
-        help="shortest-path engine for gap filling (default: dijkstra; "
-             "ch = precomputed contraction hierarchy)",
-    )
-    parser.add_argument(
-        "--ch-artifact", type=Path, default=None, metavar="FILE",
-        help="with --routing-engine ch: prepared hierarchy .npz to load "
-             "(created on first use by parallel runs)",
-    )
 
 
 def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
@@ -196,14 +191,34 @@ def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
 
 def _executor_config(args: argparse.Namespace) -> ExecutorConfig:
     route_cache = getattr(args, "route_cache", None)
-    ch_artifact = getattr(args, "ch_artifact", None)
     return ExecutorConfig(
         workers=args.workers,
         chunk_size=args.chunk_size,
         route_cache_path=str(route_cache) if route_cache is not None else None,
-        routing_engine=getattr(args, "routing_engine", "dijkstra"),
-        ch_artifact_path=str(ch_artifact) if ch_artifact is not None else None,
     )
+
+
+class _UsageError(Exception):
+    """A flag value or input path the command cannot run with."""
+
+
+@contextlib.contextmanager
+def _checking_flags():
+    """Turn a config's rejection of a flag value (``ValueError`` from
+    its ``__post_init__``) or an unreadable ``--fault-plan`` into a
+    :class:`_UsageError`; commands build their configs inside this
+    before writing anything."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _require_inputs(*paths: Path | None) -> None:
+    """Raise :class:`_UsageError` for the first given path that is missing."""
+    for path in paths:
+        if path is not None and not path.exists():
+            raise _UsageError(f"no such file or directory: {path}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,8 +418,9 @@ def _run_meta(run_ctx: obs.RunContext, started: float, ended: float) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    with _checking_flags():
+        spec = FleetSpec(n_days=args.days, seed=args.seed)
     city = build_synthetic_oulu()
-    spec = FleetSpec(n_days=args.days, seed=args.seed)
     fleet, runs = TaxiFleetSimulator(city, spec).simulate()
     n = write_points_csv(fleet, args.points)
     _say(args, f"wrote {n} route points ({len(fleet)} trips) to {args.points}")
@@ -415,13 +431,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
+    with _checking_flags():
+        robustness = _robustness(args)
+        plan = _fault_plan(args)
+        executor_config = _executor_config(args)
+    _require_inputs(args.points)
     registry = obs.MetricsRegistry()
-    robustness = _robustness(args)
-    plan = _fault_plan(args)
     quarantine = Quarantine(robustness.max_error_rate)
     executor = TripExecutor(
-        WorkerPayload(robustness=robustness, fault_plan=plan),
-        _executor_config(args),
+        WorkerPayload(robustness=robustness, fault_plan=plan), executor_config
     )
     run_ctx = obs.RunContext.create()
     # The journal rides alongside metrics.json when one is requested.
@@ -504,14 +522,16 @@ def _write_errors(
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    config = StudyConfig(
-        fleet=FleetSpec(n_days=args.days, seed=args.seed),
-        matcher=args.matcher,
-        executor=_executor_config(args),
-        robustness=_robustness(args),
-        faults=_fault_plan(args),
-        store=_store_config(args),
-    )
+    with _checking_flags():
+        config = StudyConfig(
+            fleet=FleetSpec(n_days=args.days, seed=args.seed),
+            matcher=args.matcher,
+            executor=_executor_config(args),
+            robustness=_robustness(args),
+            faults=_fault_plan(args),
+            store=_store_config(args),
+        )
+    _require_inputs(args.input)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     errors_path: Path = args.errors_out or (out / "errors.jsonl")
@@ -607,14 +627,14 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    study = StudyConfig(
-        fleet=FleetSpec(n_days=args.days, seed=args.seed),
-        matcher=args.matcher,
-        executor=_executor_config(args),
-        robustness=_robustness(args),
-        faults=_fault_plan(args),
-    )
-    try:
+    with _checking_flags():
+        study = StudyConfig(
+            fleet=FleetSpec(n_days=args.days, seed=args.seed),
+            matcher=args.matcher,
+            executor=_executor_config(args),
+            robustness=_robustness(args),
+            faults=_fault_plan(args),
+        )
         config = StreamConfig(
             study=study,
             input=str(args.input),
@@ -630,9 +650,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             live_match=args.live_match,
             idle_timeout_s=args.idle_timeout,
         )
-    except ValueError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    if args.mode != "tail":  # a tailed file may appear later
+        _require_inputs(args.input)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     errors_path: Path = args.errors_out or (out / "errors.jsonl")
@@ -697,12 +716,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import study_report
 
-    config = StudyConfig(
-        fleet=FleetSpec(n_days=args.days, seed=args.seed),
-        executor=_executor_config(args),
-        robustness=_robustness(args),
-        faults=_fault_plan(args),
-    )
+    with _checking_flags():
+        config = StudyConfig(
+            fleet=FleetSpec(n_days=args.days, seed=args.seed),
+            executor=_executor_config(args),
+            robustness=_robustness(args),
+            faults=_fault_plan(args),
+        )
     run_ctx = obs.RunContext.create()
     journal, profiler = _start_instruments(args, run_ctx, "report")
     status = "error"
@@ -765,6 +785,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import report as obs_report
 
+    if args.obs_command == "diff":
+        _require_inputs(args.run_a, args.run_b)
+    else:
+        _require_inputs(args.journal)
     if args.obs_command == "report":
         events, metrics = obs_report.load_run(args.journal)
         print(obs_report.render_report(events, metrics, top=args.top))
@@ -804,6 +828,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The stdout reader went away (e.g. `repro obs report | head`).
         # Point stdout at devnull so the interpreter's exit flush does

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.cleaning import CleaningPipeline, CleanResult
 from repro.faults import (
@@ -48,7 +47,6 @@ from repro.roadnet import (
     RouteCache,
     SyntheticCity,
     build_synthetic_oulu,
-    make_routing_engine,
 )
 from repro.stats import MixedModelResult, RandomInterceptModel
 from repro.store.planner import StudyPlanner
@@ -95,8 +93,6 @@ class StudyConfig:
             matcher=self.matcher,
             route_cache_size=self.executor.route_cache_size,
             route_cache_path=self.executor.route_cache_path,
-            routing_engine=self.executor.routing_engine,
-            ch_artifact_path=self.executor.ch_artifact_path,
             robustness=self.robustness,
             fault_plan=self.faults,
         )
@@ -213,21 +209,6 @@ class OuluStudy:
         config = self.config
         with span("build_city"):
             city = build_synthetic_oulu(config.city)
-        if (
-            executor.parallel
-            and config.executor.routing_engine == "ch"
-            and config.executor.ch_artifact_path is not None
-            and not Path(config.executor.ch_artifact_path).exists()
-        ):
-            # Contract once in the orchestrator and persist; every pool
-            # worker then loads the shared artifact at init instead of
-            # re-running the preprocessing per process.
-            from repro.roadnet.ch import prepare_ch, save_ch
-
-            save_ch(
-                prepare_ch(city.graph, weight="length"),
-                config.executor.ch_artifact_path,
-            )
         runs: list[CustomerRun] = []
         if fleet is None:
             with span("simulate"):
@@ -296,12 +277,7 @@ class OuluStudy:
                 config.executor.route_cache_size,
                 config.executor.route_cache_path,
             )
-            engine = make_routing_engine(
-                city.graph,
-                config.executor.routing_engine,
-                ch_artifact=config.executor.ch_artifact_path,
-            )
-            matcher = make_matcher(city.graph, config.matcher, route_cache, engine)
+            matcher = make_matcher(city.graph, config.matcher, route_cache)
             computed = [
                 match_task(
                     matcher, to_xy, extractor.gates_by_name,

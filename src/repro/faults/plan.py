@@ -15,7 +15,7 @@ Fault taxonomy (see ``docs/robustness.md``):
 * ``clean_error_rate`` — exceptions raised inside per-trip cleaning;
 * ``match_error_rate`` — exceptions raised inside map-matching of chosen
   transitions;
-* ``route_error_rate`` — timeouts raised inside routing-engine queries
+* ``route_error_rate`` — timeouts raised inside gap-fill shortest-path queries
   (only while a degradation guard is active, so they are isolatable);
 * ``transient_rate`` — fraction of raising faults that succeed when the
   bounded retry layer re-attempts them;

@@ -47,18 +47,16 @@ from repro.matching.types import (
 
 
 def make_matcher(
-    graph, kind: str, route_cache=None, engine=None
+    graph, kind: str, route_cache=None
 ) -> IncrementalMatcher | HmmMatcher:
     """The ``kind`` matcher (``"incremental"`` or ``"hmm"``) over ``graph``.
 
-    ``route_cache`` and ``engine`` (None for flat Dijkstra, or a prepared
-    engine from :func:`repro.roadnet.make_routing_engine`) serve its gap
-    filling.
+    ``route_cache`` serves its shortest-path queries.
     """
     if kind == "hmm":
-        return HmmMatcher(graph, route_cache=route_cache, routing_engine=engine)
+        return HmmMatcher(graph, route_cache=route_cache)
     if kind == "incremental":
-        return IncrementalMatcher(graph, route_cache=route_cache, routing_engine=engine)
+        return IncrementalMatcher(graph, route_cache=route_cache)
     raise ValueError(f"unknown matcher {kind!r}; choose 'incremental' or 'hmm'")
 
 

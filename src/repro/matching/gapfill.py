@@ -5,26 +5,19 @@ are often not adjacent.  :func:`connect_matches` reconstructs the full
 driven edge sequence: for every hop between distinct matched edges it
 evaluates all legal exit/entry endpoint combinations, routes the gap with
 Dijkstra, and picks the cheapest consistent traversal, honouring one-way
-directions throughout.
-
-With a many-to-many capable engine (a prepared
-:class:`~repro.roadnet.ch.CHEngine`), every gap query of the trip is
-collected up front and resolved through one
-:class:`~repro.roadnet.routing.RouteBatch` call instead of one engine
-query per endpoint combination; the per-gap decision loop then reads the
-pre-resolved answers.  The batch answers are bitwise-identical to the
-point-to-point queries, so the resulting edge sequence is unchanged.
+directions throughout.  Each gap query goes through
+:func:`~repro.roadnet.routing.cached_shortest_path`, so a route cache
+shared across trips answers the gaps many trips drive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults import maybe_inject
 from repro.matching.types import MatchedRoute, edge_entries, edge_exits
 from repro.obs import get_registry
 from repro.roadnet.graph import RoadEdge, RoadGraph
-from repro.roadnet.routing import RouteBatch, RouteCache, cached_shortest_path
+from repro.roadnet.routing import RouteCache, cached_shortest_path
 
 
 @dataclass
@@ -66,86 +59,16 @@ def _arc_to_endpoint(edge: RoadEdge, arc: float, endpoint: int) -> float:
     return edge.length - arc if endpoint == edge.v else arc
 
 
-def _collect_gap_pairs(
-    graph: RoadGraph, runs: list[_Run]
-) -> list[tuple[int, int]]:
-    """Every ``(exit, entry)`` pair the gap loop *could* route.
-
-    The loop restricts exits to the endpoint opposite the chain's entry
-    node, but the chain state is only known while iterating — so the
-    batch covers a superset.  It is still tight: a chain entry node is
-    always a legal entry of ``e1``, so every exit the loop can pick is
-    either in ``_legal_exits(e1, None)`` (chain restart) or the endpoint
-    opposite a legal entry — both sets collapse to the same single node
-    for a one-way edge, halving the pairs a ``{u, v}`` superset would
-    route.  Direct hand-offs (``exit == entry``) never route and are
-    skipped.  Duplicates are *not* collapsed here —
-    :meth:`~repro.roadnet.routing.RouteBatch.resolve` dedupes anyway,
-    and this enumeration runs for every trip, so it stays branch-light:
-    exits/entries come straight from the one-way flags instead of the
-    list-building ``_legal_*`` helpers the decision loop uses.
-    """
-    endpoints = _edge_endpoints(graph)
-    pairs: list[tuple[int, int]] = []
-    for k in range(len(runs) - 1):
-        exits = endpoints[runs[k].edge_id][0]
-        entries = endpoints[runs[k + 1].edge_id][1]
-        for exit1 in exits:
-            for entry2 in entries:
-                if exit1 != entry2:
-                    pairs.append((exit1, entry2))
-    return pairs
-
-
-def _edge_endpoints(
-    graph: RoadGraph,
-) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per-edge (batchable exits, legal entries), memoised on the graph.
-
-    Derived once from the immutable one-way flags; gap-pair collection
-    runs for every trip, so this turns it into pure dict reads.
-    """
-    memo = getattr(graph, "_gapfill_endpoints", None)
-    if memo is None:
-        memo = {}
-        for edge in graph.edges():
-            if edge.forward_allowed:
-                exits = (edge.v, edge.u) if edge.backward_allowed else (edge.v,)
-            else:
-                exits = (edge.u,) if edge.backward_allowed else (edge.v,)
-            if edge.forward_allowed:
-                entries = (edge.u, edge.v) if edge.backward_allowed else (edge.u,)
-            else:
-                entries = (edge.v,) if edge.backward_allowed else (edge.u,)
-            memo[edge.edge_id] = (exits, entries)
-        graph._gapfill_endpoints = memo
-    return memo
-
-
 def connect_matches(
     graph: RoadGraph,
     route: MatchedRoute,
     max_cost_m: float = 2_000.0,
     route_cache: RouteCache | None = None,
-    engine=None,
 ) -> MatchedRoute:
     """Fill the matched route's edge sequence in place and return it.
 
     ``route_cache`` memoises the shortest-path sub-queries; it never
     changes the resulting edge sequence (see :func:`cached_shortest_path`).
-    ``engine`` selects what answers cache misses — the default flat
-    Dijkstra or a prepared :class:`~repro.roadnet.ch.CHEngine`; both
-    return optimal costs, so gap decisions are identical up to
-    equal-cost path ties.
-
-    All the trip's gap queries resolve through one
-    :class:`~repro.roadnet.routing.RouteBatch` call when the engine
-    supports many-to-many queries; flat engines keep the per-gap loop
-    (batching a superset of pairs through them would route *more*, not
-    less).  Fault-injection parity is preserved: the decision loop calls
-    :func:`~repro.faults.maybe_inject` for exactly the pairs the
-    sequential loop would query, in the same order, before consulting
-    the pre-resolved batch.
     """
     registry = get_registry()
     registry.counter("matching.gapfill_calls").inc()
@@ -161,32 +84,6 @@ def connect_matches(
             from_node = edge.other(from_node)
         route.edge_sequence = [(edge.edge_id, from_node)]
         return route
-
-    resolved = None
-    batch = RouteBatch(graph, weight="length", cache=route_cache, engine=engine)
-    if batch.supports_many:
-        gap_pairs = _collect_gap_pairs(graph, runs)
-        if len(gap_pairs) >= 2:
-            resolved = batch.resolve(gap_pairs)
-            # routing.* namespace: engine-dependent counters are
-            # excluded from serial/parallel comparable metrics.
-            registry.counter("routing.gapfill_batched").inc()
-
-    if resolved is not None:
-        batch_answers = resolved
-
-        def query(exit1: int, entry2: int):
-            # Same injection site, key, and order as the sequential
-            # loop's cached_shortest_path would hit.
-            maybe_inject("routing", (exit1, entry2), require_guard=True)
-            return batch_answers[(exit1, entry2)]
-    else:
-
-        def query(exit1: int, entry2: int):
-            return cached_shortest_path(
-                graph, exit1, entry2, weight="length",
-                cache=route_cache, engine=engine,
-            )
 
     sequence: list[tuple[int, int]] = []
     gaps = 0
@@ -205,7 +102,9 @@ def connect_matches(
                     cost = d1 + d2
                     candidate = (cost, exit1, entry2, (), ())
                 else:
-                    path = query(exit1, entry2)
+                    path = cached_shortest_path(
+                        graph, exit1, entry2, weight="length", cache=route_cache
+                    )
                     if not path.found or path.cost > max_cost_m:
                         continue
                     candidate = (d1 + path.cost + d2, exit1, entry2, path.nodes, path.edges)

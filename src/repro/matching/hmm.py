@@ -11,7 +11,7 @@ transition matrices are NumPy arrays, the forward pass is a broadcast
 add plus per-layer ``argmax``, and every network distance the trip needs
 is resolved up front through one
 :meth:`~repro.roadnet.routing.RouteBatch.resolve_costs` call over the
-union of exit/entry endpoints (cache-first, many-to-many CH kernel or one
+union of exit/entry endpoints (cache first, then one bounded
 multi-target Dijkstra per unique source).
 
 The result is bitwise-identical to a pure-Python forward pass running one
@@ -22,7 +22,7 @@ within the transition cap (``max(300, straight * max_network_factor)``).
 A capped Dijkstra settles exactly one node beyond its budget and leaks
 tentative frontier labels, all provably ``> cap``, so masking
 ``through > cap`` makes the reachable set exactly ``{node: d* <= cap}``
-— computable from any engine's exact distances.  Float associativity is
+— computable from the batch's exact within-bound distances.  Float associativity is
 preserved term by term (``(d1 + through) + d2``, first-occurrence argmax
 ties).
 """
@@ -78,14 +78,10 @@ class HmmMatcher:
         graph: RoadGraph,
         config: HmmConfig | None = None,
         route_cache=None,
-        routing_engine=None,
     ) -> None:
         self.graph = graph
         self.config = config or HmmConfig()
         self.route_cache = route_cache
-        #: Gap-fill engine: None (flat Dijkstra) or a prepared CH engine
-        #: (see :func:`repro.roadnet.make_routing_engine`).
-        self.routing_engine = routing_engine
 
     def match(
         self,
@@ -164,10 +160,7 @@ class HmmMatcher:
             for i in range(n)
         ]
         route = MatchedRoute(segment_id=segment_id, car_id=car_id, matched=matched)
-        connect_matches(
-            self.graph, route,
-            route_cache=self.route_cache, engine=self.routing_engine,
-        )
+        connect_matches(self.graph, route, route_cache=self.route_cache)
         return route
 
     def _viterbi(
@@ -182,7 +175,7 @@ class HmmMatcher:
     ) -> tuple[list[int], list[float]]:
         """NumPy forward pass over batched network distances."""
         costs = RouteBatch(
-            self.graph, "length", cache=self.route_cache, engine=self.routing_engine
+            self.graph, "length", cache=self.route_cache
         ).resolve_costs(pairs, source_caps)
         # Dense cost table over the trip's unique exit/entry endpoints.
         src_index: dict[int, int] = {}

@@ -178,14 +178,10 @@ class IncrementalMatcher:
         graph: RoadGraph,
         config: IncrementalConfig | None = None,
         route_cache: RouteCache | None = None,
-        routing_engine=None,
     ) -> None:
         self.graph = graph
         self.config = config or IncrementalConfig()
         self.route_cache = route_cache
-        #: Gap-fill engine: None (flat Dijkstra) or a prepared CH engine
-        #: (see :func:`repro.roadnet.make_routing_engine`).
-        self.routing_engine = routing_engine
         self._adjacent: dict[int, set[int]] = {}
 
     # -- adjacency ------------------------------------------------------------
@@ -270,7 +266,7 @@ class IncrementalMatcher:
         t1 = perf_counter()
         connect_matches(
             self.graph, route, max_cost_m=self.config.max_gap_cost_m,
-            route_cache=self.route_cache, engine=self.routing_engine,
+            route_cache=self.route_cache,
         )
         state.elapsed_s += perf_counter() - t1
         registry.histogram("matching.match_seconds").observe(state.elapsed_s)

@@ -31,7 +31,6 @@ from repro.obs import (
     new_span_id,
 )
 from repro.parallel.worker import WorkerPayload, init_worker, run_chunk
-from repro.roadnet.routing import ROUTING_ENGINES
 
 _log = get_logger(__name__)
 
@@ -52,10 +51,6 @@ class ExecutorConfig:
     default, so existing behaviour is unchanged.  ``chunk_size`` fixes
     the batching (default: auto, ~4 chunks per worker).  ``start_method``
     picks the multiprocessing start method (None = platform default).
-    ``routing_engine`` selects the gap-fill shortest-path engine
-    (``dijkstra``/``ch``); with ``ch``, ``ch_artifact_path`` optionally
-    points at a prepared ``.npz`` hierarchy that workers load instead of
-    each re-contracting.
     """
 
     workers: int = 0
@@ -63,19 +58,12 @@ class ExecutorConfig:
     start_method: str | None = None
     route_cache_size: int = 50_000
     route_cache_path: str | None = None
-    routing_engine: str = "dijkstra"
-    ch_artifact_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.routing_engine not in ROUTING_ENGINES:
-            raise ValueError(
-                f"routing_engine must be one of {ROUTING_ENGINES}, "
-                f"got {self.routing_engine!r}"
-            )
 
 
 class TripExecutor:

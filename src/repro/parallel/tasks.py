@@ -23,7 +23,6 @@ from repro.traces.model import RoutePoint
 #: (the ``route_source`` field of :class:`MatchOutcome`).
 _ROUTE_SOURCE_COUNTERS = (
     ("cache", "routing.route_cache_hits"),
-    ("ch", "routing.ch_query_calls"),
     ("dijkstra", "routing.dijkstra_calls"),
 )
 
@@ -64,9 +63,9 @@ class MatchOutcome:
     #: facts travel home on the outcome so orchestrator-side lineage is
     #: identical for serial and parallel runs.
     elapsed_s: float = 0.0
-    #: Where gap-fill answers came from: ``"cache"``/``"ch"``/
-    #: ``"dijkstra"``, joined with ``+`` when mixed, ``"none"`` when no
-    #: shortest-path query was needed.
+    #: Where gap-fill answers came from: ``"cache"``/``"dijkstra"``,
+    #: joined with ``+`` when mixed, ``"none"`` when no shortest-path
+    #: query was needed.
     route_source: str = "none"
 
 

@@ -39,7 +39,7 @@ from repro.obs import (
     use_run_context,
 )
 from repro.parallel.tasks import MatchOutcome, MatchTask, match_task, study_gates
-from repro.roadnet import CitySpec, RouteCache, build_synthetic_oulu, make_routing_engine
+from repro.roadnet import CitySpec, RouteCache, build_synthetic_oulu
 from repro.od import TransitionConfig, TransitionExtractor
 
 
@@ -50,11 +50,6 @@ class WorkerPayload:
     ``city_spec`` is optional: cleaning-only executors (``repro clean``)
     never build a road network.  ``route_cache_path`` points at an
     optional on-disk route cache every worker warms itself from.
-    ``routing_engine`` picks the gap-fill shortest-path engine; with
-    ``"ch"`` each worker prepares the contraction hierarchy once at
-    init — or loads it from ``ch_artifact_path`` when the orchestrator
-    saved a shared ``.npz`` artifact — instead of paying flat Dijkstra
-    on every cache-missing query.
     """
 
     filter_config: FilterConfig | None = None
@@ -65,8 +60,6 @@ class WorkerPayload:
     matcher: str = "incremental"
     route_cache_size: int = 50_000
     route_cache_path: str | None = None
-    routing_engine: str = "dijkstra"
-    ch_artifact_path: str | None = None
     #: Degraded-mode execution: per-unit guards + bounded retry inside
     #: every worker (None = historical fail-fast).  ``fault_plan`` ships
     #: the seeded chaos plan each worker activates at init, so injection
@@ -98,7 +91,6 @@ class WorkerContext:
         self.extractor = None
         self.matcher = None
         self.route_cache = None
-        self.routing_engine = None
         if payload.city_spec is not None:
             city = build_synthetic_oulu(payload.city_spec)
             projector = city.projector
@@ -110,14 +102,7 @@ class WorkerContext:
                 gates, city.central_area, payload.transition_config
             )
             self.route_cache = RouteCache(payload.route_cache_size, payload.route_cache_path)
-            self.routing_engine = make_routing_engine(
-                city.graph,
-                payload.routing_engine,
-                ch_artifact=payload.ch_artifact_path,
-            )
-            self.matcher = make_matcher(
-                city.graph, payload.matcher, self.route_cache, self.routing_engine
-            )
+            self.matcher = make_matcher(city.graph, payload.matcher, self.route_cache)
 
     # -- chunk handlers (one per task kind) ---------------------------------
 
@@ -148,8 +133,8 @@ class WorkerContext:
 #: The process's context; set once by :func:`init_worker`.
 _context: WorkerContext | None = None
 
-#: Metrics recorded while *building* the context (route-cache warm load,
-#: CH preparation).  ``init_worker`` runs outside any chunk, so without
+#: Metrics recorded while *building* the context (the route-cache warm
+#: load).  ``init_worker`` runs outside any chunk, so without
 #: this capture those counters/gauges would land in the worker's global
 #: registry and never reach the orchestrator — which is exactly the bug
 #: that made ``routing.route_cache_entries`` read 0 on warm-started

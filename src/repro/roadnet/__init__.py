@@ -17,9 +17,6 @@ preparation step:
 * :mod:`repro.roadnet.graph` — the resulting road graph;
 * :mod:`repro.roadnet.routing` — Dijkstra shortest paths (the pgRouting
   substitute), the route cache and the batch query planner;
-* :mod:`repro.roadnet.ch` — a precomputed contraction-hierarchy engine
-  for the gap-fill hot path (CSR arrays, shortcut preprocessing,
-  bidirectional upward queries, ``.npz`` persistence);
 * :mod:`repro.roadnet.synthcity` — a deterministic synthetic downtown-Oulu
   generator used in place of the proprietary extract.
 """
@@ -36,31 +33,19 @@ from repro.roadnet.elements import (
 from repro.roadnet.graph import RoadEdge, RoadGraph, RoadNode
 from repro.roadnet.graphbuild import JunctionPair, build_road_graph, classify_endpoints
 from repro.roadnet.routing import (
-    ROUTING_ENGINES,
     PathResult,
     RouteBatch,
     RouteCache,
     cached_shortest_path,
     dijkstra,
-    make_routing_engine,
     path_travel_time_s,
     shortest_path,
     shortest_path_geometry,
-)
-from repro.roadnet.ch import (
-    CHEngine,
-    RouteMatrix,
-    load_ch,
-    prepare_ch,
-    route_matrix,
-    route_pairs,
-    save_ch,
 )
 from repro.roadnet.synthcity import CitySpec, SyntheticCity, build_synthetic_oulu
 from repro.roadnet.validate import MapIssue, MapValidationReport, validate_map
 
 __all__ = [
-    "CHEngine",
     "CitySpec",
     "FlowDirection",
     "FunctionalClass",
@@ -73,11 +58,9 @@ __all__ = [
     "RouteBatch",
     "RouteCache",
     "PointObjectKind",
-    "ROUTING_ENGINES",
     "RoadEdge",
     "RoadGraph",
     "RoadNode",
-    "RouteMatrix",
     "SegmentedAttribute",
     "SyntheticCity",
     "TrafficElement",
@@ -86,13 +69,7 @@ __all__ = [
     "cached_shortest_path",
     "classify_endpoints",
     "dijkstra",
-    "load_ch",
-    "make_routing_engine",
     "path_travel_time_s",
-    "prepare_ch",
-    "route_matrix",
-    "route_pairs",
-    "save_ch",
     "shortest_path",
     "shortest_path_geometry",
     "validate_map",

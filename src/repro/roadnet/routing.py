@@ -4,8 +4,8 @@ The paper uses pgRouting's Dijkstra to fill map-matching gaps; this module
 provides Dijkstra (with distance or free-flow travel-time weights), a
 :class:`RouteCache` so hot gap-fill queries (many trips drive the same
 network gaps) are answered without re-running Dijkstra, and the
-:class:`RouteBatch` planner that hands many queries to a contraction
-hierarchy at once.
+:class:`RouteBatch` planner that answers a unit's many queries in one
+call: cache first, then one bounded multi-target Dijkstra per source.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ Weight = Literal["length", "time"]
 
 #: Optional custom edge-cost function (must be non-negative).
 WeightFn = Callable[[RoadEdge], float]
-
-#: Selectable routing engines (the CLI's ``--routing-engine`` choices).
-#: ``dijkstra`` is the default everywhere; ``ch`` needs a prepared
-#: :class:`~repro.roadnet.ch.CHEngine` (see :func:`make_routing_engine`).
-ROUTING_ENGINES = ("dijkstra", "ch")
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,8 @@ class RouteCache:
     eviction feeds the ambient :class:`~repro.obs.MetricsRegistry`
     (``routing.route_cache_hits`` / ``..._misses`` / ``..._evictions``
     counters and a ``routing.route_cache_entries`` gauge), so hit rates
-    land in ``metrics.json`` next to the ``routing.ch_*`` counters.
+    land in ``metrics.json`` next to the ``routing.dijkstra_calls``
+    counter.
 
     ``path`` points at an optional JSON spill file: :meth:`load` warms the
     cache from it (missing file is fine) and :meth:`save` persists the
@@ -264,8 +260,8 @@ class RouteCache:
         """Split ``pairs`` into cached hits and uncached misses.
 
         Hits are refreshed to the LRU tail exactly like :meth:`get`;
-        misses come back in input order (callers batch them through one
-        engine query).  Hit/miss counters move per pair and the hit-rate
+        misses come back in input order (callers route them as one
+        batch).  Hit/miss counters move per pair and the hit-rate
         gauge updates once per call, so worker gauges stay correct under
         batched resolution.
         """
@@ -366,70 +362,18 @@ class RouteCache:
         return len(rows)
 
 
-def make_routing_engine(
-    graph: RoadGraph,
-    name: str | None,
-    weight: Weight = "length",
-    ch_artifact: str | Path | None = None,
-):
-    """Resolve an engine name into the ``engine`` argument of
-    :func:`cached_shortest_path`.
-
-    ``None``/``"dijkstra"`` resolve to ``None`` (flat Dijkstra); ``"ch"``
-    prepares a :class:`~repro.roadnet.ch.CHEngine` for ``graph`` — or
-    loads ``ch_artifact`` when it exists and matches the requested
-    weight, which is how pool workers skip re-contracting.
-    """
-    if name is None or name == "dijkstra":
-        return None
-    if name == "ch":
-        from repro.roadnet.ch import load_ch, prepare_ch
-
-        if ch_artifact is not None and Path(ch_artifact).exists():
-            engine = load_ch(ch_artifact)
-            if engine.weight == weight and engine.respect_oneway:
-                return engine
-        return prepare_ch(graph, weight=weight)
-    raise ValueError(
-        f"unknown routing engine {name!r}; choose from {ROUTING_ENGINES}"
-    )
-
-
-def _engine_shortest_path(
-    graph: RoadGraph,
-    source: int,
-    target: int,
-    weight: Weight,
-    engine,
-) -> PathResult:
-    """One shortest-path query: flat Dijkstra, or the prepared engine."""
-    if engine is None:
-        return shortest_path(graph, source, target, weight)
-    if engine.weight != weight:
-        raise ValueError(
-            f"routing engine prepared for weight={engine.weight!r}, "
-            f"query asked for weight={weight!r}"
-        )
-    return engine.shortest_path(source, target)
-
-
 def cached_shortest_path(
     graph: RoadGraph,
     source: int,
     target: int,
     weight: Weight = "length",
     cache: RouteCache | None = None,
-    engine=None,
 ) -> PathResult:
     """:func:`shortest_path` through an optional :class:`RouteCache`.
 
-    With ``cache=None`` and ``engine=None`` this is exactly
-    ``shortest_path`` (default one-way semantics).  ``engine`` is a
-    prepared :class:`~repro.roadnet.ch.CHEngine` answering cache misses
-    instead of flat Dijkstra; both return optimal costs, so neither the
-    cache nor the engine can change how *good* an answer is, only how
-    fast it arrives (equal-cost ties may pick a different, equally short
-    path).
+    With ``cache=None`` this is exactly ``shortest_path`` (default
+    one-way semantics); a cache only stores what ``shortest_path``
+    returned, so it never changes an answer, only how fast it arrives.
 
     Fault hook: an active :class:`~repro.faults.FaultPlan` with a
     ``route_error_rate`` raises an injected timeout for chosen
@@ -439,11 +383,11 @@ def cached_shortest_path(
     """
     maybe_inject("routing", (source, target), require_guard=True)
     if cache is None:
-        return _engine_shortest_path(graph, source, target, weight, engine)
+        return shortest_path(graph, source, target, weight)
     hit = cache.get(source, target, weight)
     if hit is not None:
         return hit
-    result = _engine_shortest_path(graph, source, target, weight, engine)
+    result = shortest_path(graph, source, target, weight)
     cache.put(source, target, weight, result)
     return result
 
@@ -452,21 +396,17 @@ class RouteBatch:
     """Shared-candidate query planner for many shortest paths at once.
 
     Callers collect every ``(source, target)`` pair a unit of work will
-    need — all the gaps of one trip, all the gate pairs of a flow table —
-    and hand them to :meth:`resolve` in one call.  The planner answers
-    from the :class:`RouteCache` first, then resolves the misses through
-    the engine's many-to-many kernel
-    (:meth:`~repro.roadnet.ch.CHEngine.route_pairs`) when the engine has
-    one, falling back to a per-pair loop otherwise (flat Dijkstra, or an
-    engine that only answers point-to-point).  Every answer is the
-    engine's own :class:`PathResult`, so resolving through a batch is
+    need — all the gate pairs of a flow table, all the transition
+    distances of an HMM trip — and hand them to :meth:`resolve` or
+    :meth:`resolve_costs` in one call.  The planner answers from the
+    :class:`RouteCache` first and routes only the misses.  Every
+    :meth:`resolve` answer is :func:`shortest_path`'s own
+    :class:`PathResult`, so resolving through a batch is
     bitwise-identical to resolving pair by pair.
 
     Fault injection deliberately does **not** live here: injected routing
-    timeouts must fire for exactly the pairs a sequential caller would
-    have queried, in the same order, so callers invoke
-    :func:`~repro.faults.maybe_inject` at their own lookup sites (see
-    ``matching.gapfill``) before consulting the resolved batch.
+    timeouts fire inside :func:`cached_shortest_path`, the per-pair entry
+    point of the guarded match stage.
     """
 
     def __init__(
@@ -474,34 +414,19 @@ class RouteBatch:
         graph: RoadGraph,
         weight: Weight = "length",
         cache: RouteCache | None = None,
-        engine=None,
     ) -> None:
         self.graph = graph
         self.weight = weight
         self.cache = cache
-        self.engine = engine
-        engine_weight = getattr(engine, "weight", weight)
-        if engine_weight != weight:
-            raise ValueError(
-                f"routing engine prepared for weight={engine_weight!r}, "
-                f"batch asked for weight={weight!r}"
-            )
-
-    @property
-    def supports_many(self) -> bool:
-        """Whether the engine answers batches natively (duck-typed so the
-        ``ch`` package never has to be imported for flat Dijkstra)."""
-        return callable(getattr(self.engine, "route_pairs", None))
 
     def resolve(
         self, pairs: list[tuple[int, int]]
     ) -> dict[tuple[int, int], PathResult]:
         """Answer every pair; returns ``{(source, target): PathResult}``.
 
-        Duplicates collapse to one query (first-occurrence order is
-        preserved for the miss batch, keeping engine traversal order
-        deterministic).  Unreachable pairs come back as not-found
-        results, never missing keys.
+        Duplicates collapse to one query (misses route in
+        first-occurrence order).  Unreachable pairs come back as
+        not-found results, never missing keys.
         """
         unique = list(dict.fromkeys(pairs))
         registry = get_registry()
@@ -515,15 +440,10 @@ class RouteBatch:
             resolved, misses = {}, unique
         if not misses:
             return resolved
-        if self.supports_many:
-            answers = dict(zip(misses, self.engine.route_pairs(misses)))
-        else:
-            answers = {
-                (s, t): _engine_shortest_path(
-                    self.graph, s, t, self.weight, self.engine
-                )
-                for s, t in misses
-            }
+        answers = {
+            (s, t): shortest_path(self.graph, s, t, self.weight)
+            for s, t in misses
+        }
         if self.cache is not None:
             self.cache.put_many(answers, self.weight)
         resolved.update(answers)
@@ -538,19 +458,15 @@ class RouteBatch:
 
         The cost-mode twin of :meth:`resolve` for workloads that only
         need distances (HMM transition scores).  Cache hits answer
-        first.  Engines with a many-to-many kernel resolve the misses
-        through ``route_pairs``, and the full paths are cached so later
-        gap-fill queries over the same endpoints hit.  Otherwise the
-        misses degrade to **one multi-target Dijkstra per unique miss
+        first; the misses run **one multi-target Dijkstra per unique miss
         source** instead of one search per pair, bounded by
-        ``max_costs[source]`` when given; pairs whose optimal cost exceeds
-        the source's bound come back as ``inf`` and are *not* cached (the
-        bound makes them unproven, not unreachable).  Bounded-search paths
-        are cached only with flat Dijkstra as the engine, where the
-        reconstructed :class:`PathResult` is identical to what
-        :func:`cached_shortest_path` would store — behind any other
-        engine, caching Dijkstra paths could flip equal-cost tie-breaks in
-        later per-pair queries.
+        ``max_costs[source]`` when given.  Pairs whose optimal cost
+        exceeds the source's bound come back as ``inf`` and are *not*
+        cached (the bound makes them unproven, not unreachable).  Every
+        within-bound path is cached: the reconstructed
+        :class:`PathResult` is identical to what
+        :func:`cached_shortest_path` would store, so later gap-fill
+        queries over the same endpoints hit.
         """
         unique = list(dict.fromkeys(pairs))
         registry = get_registry()
@@ -567,18 +483,10 @@ class RouteBatch:
             misses = unique
         if not misses:
             return costs
-        if self.supports_many:
-            answers = dict(zip(misses, self.engine.route_pairs(misses)))
-            if self.cache is not None:
-                self.cache.put_many(answers, self.weight)
-            for pair, result in answers.items():
-                costs[pair] = result.cost
-            return costs
         by_source: dict[int, list[int]] = {}
         for s, t in misses:
             by_source.setdefault(s, []).append(t)
         bounds = max_costs or {}
-        cacheable = self.engine is None
         found: dict[tuple[int, int], PathResult] = {}
         for s, targets in by_source.items():
             bound = bounds.get(s, math.inf)
@@ -591,8 +499,7 @@ class RouteBatch:
                 # unsettled is provably farther than the bound.
                 if t in settled and labels[t][0] <= bound:
                     costs[(s, t)] = labels[t][0]
-                    if cacheable:
-                        found[(s, t)] = _reconstruct(labels, s, t)
+                    found[(s, t)] = _reconstruct(labels, s, t)
                 else:
                     costs[(s, t)] = math.inf
         if self.cache is not None and found:

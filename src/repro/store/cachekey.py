@@ -55,9 +55,9 @@ STAGE_FIELDS: dict[str, tuple[str, ...]] = {
 #: The lint accepts a field here as covered; keep the reasons honest.
 EXCLUDED_FIELDS: dict[str, str] = {
     "fleet": "captured by the input shard bytes every key already hashes",
-    "executor": "scheduling, caching and the routing engine only; "
-                "serial/parallel byte-identity is enforced by tests, and "
-                "both engines return optimal-cost routes",
+    "executor": "scheduling and route caching only; serial/parallel "
+                "byte-identity is enforced by tests, and a route cache "
+                "never changes an answer",
     "store": "where artefacts live, not what they contain",
     "grid": "consumed only by the orchestrator fold (grid replay, Table 5); "
             "no shard artefact depends on it",

@@ -57,7 +57,7 @@ from repro.obs import (
 from repro.od import TransitionExtractor
 from repro.od.transitions import FunnelRow
 from repro.parallel import MatchTask, match_task, study_gates
-from repro.roadnet import RouteCache, SyntheticCity, build_synthetic_oulu, make_routing_engine
+from repro.roadnet import RouteCache, SyntheticCity, build_synthetic_oulu
 from repro.stats import MixedModelResult, RandomInterceptModel
 from repro.stream.checkpoint import CheckpointStore
 from repro.stream.sources import open_source
@@ -75,7 +75,7 @@ class StreamConfig:
     #: The study parameters the stream must reproduce exactly (city,
     #: grid, transition, matcher, robustness, faults).  The executor's
     #: pool settings are ignored — streaming folds are inherently serial
-    #: — but its routing engine and route cache apply.
+    #: — but its route cache settings apply.
     study: StudyConfig = field(default_factory=StudyConfig)
     #: Input path (CSV, growing CSV, or fifo) for :func:`open_source`.
     input: str | None = None
@@ -252,12 +252,7 @@ class StreamService:
             study.executor.route_cache_size,
             study.executor.route_cache_path,
         )
-        engine = make_routing_engine(
-            self.city.graph,
-            study.executor.routing_engine,
-            ch_artifact=study.executor.ch_artifact_path,
-        )
-        self._matcher = make_matcher(self.city.graph, study.matcher, self._route_cache, engine)
+        self._matcher = make_matcher(self.city.graph, study.matcher, self._route_cache)
         #: Dedicated live matcher (feed-only; no gap fill, no counters).
         self._live_matcher = IncrementalMatcher(self.city.graph)
         self._checkpoints = (

@@ -109,8 +109,8 @@ def _network_distance(
             # A capped Dijkstra settles one node beyond the budget
             # and returns tentative frontier labels; masking
             # ``through > cap`` pins the reachable set to
-            # ``{node: d* <= cap}``, which any exact engine can
-            # reproduce (see the repro.matching.hmm docstring).
+            # ``{node: d* <= cap}``, which the batched bounded search
+            # reproduces (see the repro.matching.hmm docstring).
             if through is None or through > cap:
                 continue
             d2 = cur.arc_m if entry == cur.edge.u else cur.edge.length - cur.arc_m

@@ -122,3 +122,57 @@ class TestStudyGeojson:
             assert path.exists()
             fc = json.loads(path.read_text())
             assert fc["type"] == "FeatureCollection"
+
+
+
+class TestBadFlagValues:
+    """A bad flag value or a missing input file is one ``repro <cmd>:``
+    line on stderr and exit 2, with nothing written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["study", "--workers", "-1"],
+         "repro study: workers must be non-negative"),
+        (["study", "--chunk-size", "0"],
+         "repro study: chunk_size must be positive"),
+        (["study", "--days", "0"],
+         "repro study: need at least one taxi and one day"),
+        (["study", "--max-error-rate", "2"],
+         "repro study: max_error_rate must be in [0, 1]"),
+        (["serve", "--input", "POINTS", "--workers", "-1"],
+         "repro serve: workers must be non-negative"),
+        (["clean", "MISSING.csv"],
+         "repro clean: no such file or directory: MISSING.csv"),
+        (["study", "--input", "MISSING.csv"],
+         "repro study: no such file or directory: MISSING.csv"),
+        (["serve", "--input", "MISSING.csv"],
+         "repro serve: no such file or directory: MISSING.csv"),
+        (["obs", "report", "MISSING.jsonl"],
+         "repro obs: no such file or directory: MISSING.jsonl"),
+        (["obs", "diff", "MISSING_A", "MISSING_B"],
+         "repro obs: no such file or directory: MISSING_A"),
+        (["clean", "POINTS", "--workers", "-1"],
+         "repro clean: workers must be non-negative"),
+        (["report", "--chunk-size", "0"],
+         "repro report: chunk_size must be positive"),
+        (["simulate", "--days", "0"],
+         "repro simulate: need at least one taxi and one day"),
+        (["study", "--days", "2", "--routing-engine", "ch"],
+         "repro: error: unrecognized arguments: --routing-engine ch"),
+    ])
+    def test_reported_in_one_line_with_exit_2(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "POINTS").write_text(
+            "car_id,point_id,trip_id,lat,lon,time_s,speed_kmh,fuel_ml\n"
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        assert code == 2
+        *usage, last = capsys.readouterr().err.splitlines()
+        assert last == message
+        # Only argparse prints anything (its usage text) before the line.
+        assert all(line.startswith(("usage:", " ")) for line in usage)
+        assert [p.name for p in tmp_path.iterdir()] == ["POINTS"]

@@ -1,12 +1,11 @@
 """The Viterbi decode must be bitwise-identical to the scalar oracle.
 
 ``HmmMatcher`` replaces the per-candidate capped Dijkstras of the
-reference decode (``tests/oracles/hmm.py``) with one many-to-many batch
-(``RouteBatch.resolve_costs``) and the pure-Python forward pass with a
+reference decode (``tests/oracles/hmm.py``) with one batched query per
+trip (``RouteBatch.resolve_costs``) and the pure-Python forward pass with a
 NumPy one.  Exactness is the contract: with the oracle monkeypatched in,
 ``match()`` must return the same matched points (edge, arc, score), edge
-sequences and gap counts — under the flat engine and a prepared
-contraction hierarchy, on random graphs with one-way edges and
+sequences and gap counts — on random graphs with one-way edges and
 disconnected components, and through whole study runs, serial and
 parallel.
 """
@@ -21,14 +20,12 @@ from repro.experiments import OuluStudy, StudyConfig
 from repro.parallel import ExecutorConfig
 from repro.matching.hmm import HmmConfig, HmmMatcher
 from repro.obs.report import render_report
-from repro.roadnet import prepare_ch
 from repro.roadnet.routing import RouteCache
 from repro.traces import FleetSpec
 from repro.traces.model import RoutePoint
-from tests.test_batch_routing import study_fingerprint
+from tests.helpers import build_random_city, study_fingerprint
 from tests.test_parallel_executor import _comparable_counters
 from tests.oracles import hmm as hmm_oracle
-from tests.test_roadnet_ch import build_random_city
 
 
 def _to_xy(p: RoutePoint) -> tuple[float, float]:
@@ -75,13 +72,11 @@ def route_key(route):
     )
 
 
-def decode_both(graph, trips, engine=None, config=None):
+def decode_both(graph, trips, config=None):
     """(oracle keys, vectorized keys) with fresh caches for each pass."""
 
     def decode():
-        matcher = HmmMatcher(
-            graph, config=config, route_cache=RouteCache(), routing_engine=engine
-        )
+        matcher = HmmMatcher(graph, config=config, route_cache=RouteCache())
         return [route_key(matcher.match(t, _to_xy)) for t in trips]
 
     vectorized = decode()
@@ -104,18 +99,6 @@ class TestBitwiseEquivalence:
         )
         trips = [make_trip(graph, seed * 7 + k) for k in range(3)]
         scalar, vectorized = decode_both(graph, trips)
-        assert scalar == vectorized
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        oneway=st.sampled_from([0.0, 0.4]),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_random_graphs_ch_engine(self, seed, oneway):
-        graph = build_random_city(seed, oneway_fraction=oneway)
-        engine = prepare_ch(graph, weight="length")
-        trips = [make_trip(graph, seed * 11 + k) for k in range(2)]
-        scalar, vectorized = decode_both(graph, trips, engine=engine)
         assert scalar == vectorized
 
     def test_disconnected_layers(self):
@@ -153,20 +136,15 @@ class TestBitwiseEquivalence:
 
 
 class TestStudyByteIdentity:
-    def test_hmm_study_flag_on_off_serial_parallel(self, tmp_path, monkeypatch):
+    def test_hmm_study_flag_on_off_serial_parallel(self, monkeypatch):
         """`repro study --matcher hmm` artefacts must not depend on the
         decoder implementation or the scheduling."""
-        artifact = str(tmp_path / "oulu_ch.npz")
 
         def run(workers: int):
             config = StudyConfig(
                 fleet=FleetSpec(n_days=2, seed=7),
                 matcher="hmm",
-                executor=ExecutorConfig(
-                    workers=workers,
-                    routing_engine="ch",
-                    ch_artifact_path=artifact,
-                ),
+                executor=ExecutorConfig(workers=workers),
             )
             return OuluStudy(config).run()
 

@@ -230,26 +230,6 @@ class TestSerialParallelEquivalence:
             serial.extraction.transitions
         )
 
-    def test_ch_engine_reproduces_dijkstra_artefacts(self, tmp_path):
-        # The CH engine answers gap-fill queries with optimal costs, so a
-        # parallel run routing through a shared hierarchy artifact must
-        # reproduce the serial flat-Dijkstra study byte for byte.
-        serial = _study(0)
-        config = StudyConfig(
-            fleet=FleetSpec(n_days=2, seed=7),
-            executor=ExecutorConfig(
-                workers=2,
-                routing_engine="ch",
-                ch_artifact_path=str(tmp_path / "oulu_ch.npz"),
-            ),
-        )
-        ch_parallel = OuluStudy(config).run()
-        assert (tmp_path / "oulu_ch.npz").exists()
-        assert ch_parallel.kept_transitions == serial.kept_transitions
-        assert ch_parallel.funnel == serial.funnel
-        assert ch_parallel.route_stats == serial.route_stats
-        assert _comparable_counters(ch_parallel) == _comparable_counters(serial)
-
     def test_chunk_size_does_not_change_results(self):
         config = StudyConfig(
             fleet=FleetSpec(n_days=2, seed=7),

@@ -60,15 +60,6 @@ RATIO_GATES = [
         "limit": 0.5,
     },
     {
-        # The bucket-based many-to-many kernel must beat looped
-        # point-to-point CH queries by >= 4x on the 64x64 table
-        # (measured ~11x; the whole point of sharing upward searches).
-        "name": "route matrix speedup",
-        "bench": "test_route_matrix_vs_looped_ch",
-        "key": "matrix_loop_ratio",
-        "limit": 0.25,
-    },
-    {
         # Micro-batch streaming folds the identical stage functions one
         # trip at a time; per-row ingest and open-trip bookkeeping must
         # stay within 1.5x of the batch fold on the same CSV (measured
