@@ -85,8 +85,9 @@ class TripCleanResult:
     """One trip's worth of cleaning output — the pipeline's unit of work.
 
     Segment ids are local (1-based within the trip); :meth:`CleaningPipeline.run`
-    renumbers them fleet-sequentially in trip order, so chunked parallel
-    execution produces exactly the serial ids.
+    renumbers them fleet-sequentially in trip order, so a trip cleaned
+    alone (the stream) or in a shard-store subset gets exactly the ids
+    of a whole-fleet batch.
     """
 
     segments: list[TripSegment]
@@ -253,16 +254,19 @@ class CleaningPipeline:
             )
             return error if error is not None else result
 
-    def clean_trips(self, trips: list) -> list:
+    def compute_units(self, trips: list) -> list:
         """Per-trip results for a batch, aligned with ``trips``.
 
-        The unit the serial fold and every pool chunk run.  Each trip
-        first passes its fault-injection point on its own — behind the
-        degradation guard, with retries, when robustness is configured —
-        and the admitted trips then go through :func:`clean_batch` as
-        one batch.  Should the kernel raise, the batch re-runs trip by
-        trip through the guard, so only the failing trip is quarantined.
-        A batch records no per-trip detail spans.
+        The compute half of :meth:`run`, factored out so the shard-store
+        planner (:class:`repro.store.planner.StudyPlanner`) can run it
+        over just the dirty subset and feed the folded whole back through
+        ``per_trip``.  Each trip first passes its fault-injection point
+        on its own — behind the degradation guard, with retries, when
+        robustness is configured — and the admitted trips then go
+        through :func:`clean_batch` as one batch.  Should the kernel
+        raise, the batch re-runs trip by trip through the guard, so only
+        the failing trip is quarantined.  A batch records no per-trip
+        detail spans.
         """
         if self.robustness is None:
             for trip in trips:
@@ -299,37 +303,19 @@ class CleaningPipeline:
             trips, self.filter_config, self.segmentation_config, self.repair
         )
 
-    def compute_units(self, trips: list, executor=None) -> list:
-        """Per-trip results for ``trips``, serial or pooled.
-
-        The compute half of :meth:`run`, factored out so the shard-store
-        planner (:class:`repro.store.planner.StudyPlanner`) can run it
-        over just the dirty subset and feed the folded whole back through
-        ``per_trip``.  Serially the trips are one :meth:`clean_trips`
-        batch; pooled, each chunk is.
-        """
-        if executor is not None and executor.parallel:
-            return executor.clean_trips(trips)
-        return self.clean_trips(trips)
-
     def run(
         self,
         fleet: FleetData,
-        executor=None,
         quarantine: Quarantine | None = None,
         per_trip: list | None = None,
     ) -> CleanResult:
         """Clean and segment a whole fleet's raw trips.
 
-        ``executor`` is an optional :class:`repro.parallel.TripExecutor`;
-        when it is parallel, trips are cleaned across worker processes.
         Results are folded in trip order and segment ids renumbered
-        sequentially, so the output is byte-identical to a serial run.
-
-        ``per_trip`` optionally supplies precomputed per-trip results
-        (aligned with ``fleet.trips``) — the shard store's delta path;
-        the fold below is identical either way, which is what makes a
-        warm cached run byte-identical to a cold one.
+        sequentially.  ``per_trip`` optionally supplies precomputed
+        per-trip results (aligned with ``fleet.trips``) — the shard
+        store's delta path; the fold below is identical either way, which
+        is what makes a warm cached run byte-identical to a cold one.
 
         With :attr:`robustness` set, failing trips are quarantined (into
         ``quarantine`` when given, and always onto ``report.errors``)
@@ -343,7 +329,7 @@ class CleaningPipeline:
         segments: list[TripSegment] = []
         with span("clean"):
             if per_trip is None:
-                per_trip = self.compute_units(fleet.trips, executor)
+                per_trip = self.compute_units(fleet.trips)
             journal = get_journal()
             next_segment_id = 1
             for trip, trip_result in zip(fleet.trips, per_trip):

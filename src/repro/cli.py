@@ -53,7 +53,7 @@ from repro.faults import (
     RobustnessConfig,
     inject_faults,
 )
-from repro.parallel import ExecutorConfig, TripExecutor, WorkerPayload
+from repro.parallel import ExecutorConfig
 from repro.experiments import (
     OuluStudy,
     StudyConfig,
@@ -118,16 +118,14 @@ def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """Worker-pool flags (default: serial, identical results)."""
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="fan per-trip work over N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="trips/transitions per worker chunk (default: auto)",
-    )
+def _add_executor_flags(parser: argparse.ArgumentParser, workers: bool = True) -> None:
+    """Map-matching pool and route-cache flags (default: serial, identical
+    results); ``repro serve`` folds serially, so it gets no ``--workers``."""
+    if workers:
+        parser.add_argument(
+            "--workers", type=int, default=0, metavar="N",
+            help="map-match over N worker processes (default: serial)",
+        )
     parser.add_argument(
         "--route-cache", type=Path, default=None, metavar="FILE",
         help="on-disk Dijkstra route cache to warm gap-filling from "
@@ -190,10 +188,9 @@ def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
 
 
 def _executor_config(args: argparse.Namespace) -> ExecutorConfig:
-    route_cache = getattr(args, "route_cache", None)
+    route_cache = args.route_cache
     return ExecutorConfig(
-        workers=args.workers,
-        chunk_size=args.chunk_size,
+        workers=getattr(args, "workers", 0),
         route_cache_path=str(route_cache) if route_cache is not None else None,
     )
 
@@ -243,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the run's metrics registry as JSON")
     _add_obs_flags(clean)
     _add_journal_flags(clean)
-    _add_parallel_flags(clean)
     _add_robustness_flags(clean)
 
     study = sub.add_parser("study", help="run the full study, write artefacts")
@@ -266,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "records are prepended to errors.jsonl)")
     _add_obs_flags(study)
     _add_journal_flags(study)
-    _add_parallel_flags(study)
+    _add_executor_flags(study)
     _add_robustness_flags(study)
     _add_store_flags(study)
 
@@ -311,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(a metrics.json is always written to --out)")
     _add_obs_flags(serve)
     _add_journal_flags(serve)
-    _add_parallel_flags(serve)
+    _add_executor_flags(serve, workers=False)
     _add_robustness_flags(serve)
 
     report = sub.add_parser("report", help="run a study and write REPORT.md")
@@ -320,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", type=Path, default=Path("REPORT.md"))
     _add_obs_flags(report)
     _add_journal_flags(report)
-    _add_parallel_flags(report)
+    _add_executor_flags(report)
     _add_robustness_flags(report)
 
     obs_p = sub.add_parser("obs", help="inspect run journals and metrics")
@@ -434,13 +430,9 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     with _checking_flags():
         robustness = _robustness(args)
         plan = _fault_plan(args)
-        executor_config = _executor_config(args)
     _require_inputs(args.points)
     registry = obs.MetricsRegistry()
     quarantine = Quarantine(robustness.max_error_rate)
-    executor = TripExecutor(
-        WorkerPayload(robustness=robustness, fault_plan=plan), executor_config
-    )
     run_ctx = obs.RunContext.create()
     # The journal rides alongside metrics.json when one is requested.
     journal_default = (
@@ -458,10 +450,9 @@ def _cmd_clean(args: argparse.Namespace) -> int:
             if not len(fleet):
                 print(f"no trips in {args.points}", file=sys.stderr)
                 return 1
-            with executor:
-                result = CleaningPipeline(robustness=robustness).run(
-                    fleet, executor=executor, quarantine=quarantine
-                )
+            result = CleaningPipeline(robustness=robustness).run(
+                fleet, quarantine=quarantine
+            )
             try:
                 quarantine.check(len(fleet) + rows_quarantined)
             except ErrorRateExceeded as exc:

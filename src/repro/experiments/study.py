@@ -65,7 +65,8 @@ class StudyConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     transition: TransitionConfig = field(default_factory=TransitionConfig)
     matcher: str = "incremental"          # or "hmm"
-    #: Per-trip parallelism; the default (workers=0) runs fully serial.
+    #: Map-matching pool and route cache; the default (workers=0) runs
+    #: fully serial.  Cleaning and gate extraction are always serial.
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     #: Degraded-mode execution: failing trips/transitions quarantine into
     #: ``result.errors`` instead of aborting, and the run only fails when
@@ -91,7 +92,6 @@ class StudyConfig:
             city_spec=self.city,
             transition_config=self.transition,
             matcher=self.matcher,
-            route_cache_size=self.executor.route_cache_size,
             route_cache_path=self.executor.route_cache_path,
             robustness=self.robustness,
             fault_plan=self.faults,
@@ -155,9 +155,10 @@ class OuluStudy:
         Each run records into a fresh :class:`~repro.obs.MetricsRegistry`;
         its snapshot (per-stage counters, latency histograms and the
         nested stage-timing tree) is attached as ``result.metrics``.
-        With ``config.executor.workers > 1`` the per-trip stages fan out
-        over a worker pool; worker registries are merged in, and the
-        artefacts are identical to a serial run.
+        With ``config.executor.workers > 1`` map-matching fans out over
+        a worker pool (cleaning and extraction stay serial); worker
+        registries are merged in, and the artefacts are identical to a
+        serial run.
 
         ``run_context`` identifies the run for tracing (defaults to the
         ambient context, or a fresh one); its metadata plus wall-clock
@@ -223,8 +224,8 @@ class OuluStudy:
         # Delta recomputation: with a store configured, a planner shards
         # the fleet by (city, day) and serves each stage's per-unit
         # results from content-addressed artefacts, computing only dirty
-        # shards through the exact serial/pooled code paths below.  The
-        # folds all stay here, so warm results are byte-identical.
+        # shards through the exact code paths below.  The folds all stay
+        # here, so warm results are byte-identical.
         planner: StudyPlanner | None = None
         if config.store is not None:
             planner = StudyPlanner(ShardStore(config.store.dir), config)
@@ -233,12 +234,8 @@ class OuluStudy:
         pipeline = CleaningPipeline(robustness=config.robustness)
         per_trip = None
         if planner is not None:
-            per_trip = planner.clean_stage(
-                fleet, lambda trips: pipeline.compute_units(trips, executor)
-            )
-        clean = pipeline.run(
-            fleet, executor=executor, quarantine=quarantine, per_trip=per_trip
-        )
+            per_trip = planner.clean_stage(fleet, pipeline.compute_units)
+        clean = pipeline.run(fleet, quarantine=quarantine, per_trip=per_trip)
 
         projector = city.projector
 
@@ -252,31 +249,21 @@ class OuluStudy:
             if planner is not None:
                 extractions = planner.extract_stage(
                     clean.segments,
-                    lambda segs: extractor.compute_units(segs, to_xy, executor),
+                    lambda segs: extractor.compute_units(segs, to_xy),
                 )
             extraction = extractor.extract(
-                clean.segments, to_xy, executor=executor, extractions=extractions
+                clean.segments, to_xy, extractions=extractions
             )
 
         tasks = [
-            MatchTask(
-                index=i,
-                points=tuple(transition.points()),
-                segment_id=transition.segment.segment_id,
-                car_id=transition.segment.car_id,
-                origin=transition.origin,
-                destination=transition.destination,
-            )
+            MatchTask.from_transition(i, transition)
             for i, transition in enumerate(extraction.transitions)
         ]
         def compute_outcomes(subset: list[MatchTask]) -> list:
             """Match the given tasks through the serial or pooled path."""
             if executor.parallel:
-                return executor.match_transitions(subset)
-            route_cache = RouteCache(
-                config.executor.route_cache_size,
-                config.executor.route_cache_path,
-            )
+                return executor.map_chunked("match", subset)
+            route_cache = RouteCache(path=config.executor.route_cache_path)
             matcher = make_matcher(city.graph, config.matcher, route_cache)
             computed = [
                 match_task(

@@ -19,9 +19,10 @@ Fault taxonomy (see ``docs/robustness.md``):
   (only while a degradation guard is active, so they are isolatable);
 * ``transient_rate`` — fraction of raising faults that succeed when the
   bounded retry layer re-attempts them;
-* ``kill_chunk`` — ``{task kind: chunk index}`` of one worker-pool chunk
-  whose process is killed mid-run (``os._exit``), exercising pool
-  replacement and exactly-once chunk resubmission.
+* ``kill_chunk`` — ``{kind: index}`` of a process killed mid-run
+  (``os._exit``): ``"match"`` names a worker-pool chunk, exercising pool
+  replacement and exactly-once chunk resubmission; ``"stream"`` names a
+  streaming checkpoint after which ``repro serve`` dies.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+
+#: What a ``kill_chunk`` entry can name: the worker pool's one task kind,
+#: and the streaming service's checkpoint sequence.
+KILL_KINDS = ("match", "stream")
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,15 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        for kind, index in self.kill_chunk.items():
+            if kind not in KILL_KINDS:
+                raise ValueError(
+                    f"kill_chunk kind must be one of {list(KILL_KINDS)}, got {kind!r}"
+                )
+            if index < 0:
+                raise ValueError(
+                    f"kill_chunk index must be non-negative, got {kind!r}: {index!r}"
+                )
 
     # -- deterministic selection --------------------------------------------
 
@@ -104,7 +118,9 @@ class FaultPlan:
         if unknown:
             raise ValueError(f"unknown fault plan keys: {unknown}")
         kwargs = dict(doc)
-        if "kill_chunk" in kwargs and kwargs["kill_chunk"] is not None:
+        if kwargs.get("kill_chunk") is None:
+            kwargs.pop("kill_chunk", None)  # JSON null: kill nothing
+        else:
             kwargs["kill_chunk"] = {
                 str(kind): int(index) for kind, index in kwargs["kill_chunk"].items()
             }

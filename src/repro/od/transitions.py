@@ -129,22 +129,25 @@ class TransitionExtractor:
 
     def extract_segment(self, seg: TripSegment, to_xy) -> SegmentExtraction:
         """Run funnel stages 2-4 on one segment — the one-segment form of
-        :meth:`extract_segments`, timed by an ``extract_segment`` detail
+        :meth:`compute_units`, timed by an ``extract_segment`` detail
         span (the streaming service's unit)."""
         with span(
             "extract_segment", detail=True, attrs={"segment_id": seg.segment_id}
         ):
-            return self.extract_segments([seg], to_xy)[0]
+            return self.compute_units([seg], to_xy)[0]
 
-    def extract_segments(
+    def compute_units(
         self, segments: list[TripSegment], to_xy
     ) -> list[SegmentExtraction]:
-        """Run funnel stages 2-4 on a batch of segments — pure and parallelisable.
+        """Run funnel stages 2-4 on a batch of segments, aligned with ``segments``.
 
-        Every point goes through ``to_xy`` once, into one ``(n, 2)``
-        array; the gate prefilter then runs over all of the batch's
-        movements at once (:func:`~repro.od.gates.crossing_events`).  A
-        batch records no per-segment detail spans.
+        The compute half of :meth:`extract`, factored out so the shard
+        store planner can run it over only the dirty segments and pass
+        the folded whole back through ``extractions``.  Every point goes
+        through ``to_xy`` once, into one ``(n, 2)`` array; the gate
+        prefilter then runs over all of the batch's movements at once
+        (:func:`~repro.od.gates.crossing_events`).  A batch records no
+        per-segment detail spans.
         """
         points = [p for seg in segments for p in seg.points]
         xy = np.fromiter(
@@ -172,26 +175,10 @@ class TransitionExtractor:
             )
         return out
 
-    def compute_units(
-        self, segments: list[TripSegment], to_xy, executor=None
-    ) -> list[SegmentExtraction]:
-        """Per-segment funnel outcomes, serial or pooled.
-
-        The compute half of :meth:`extract`, factored out so the shard
-        store planner can run it over only the dirty segments and pass
-        the folded whole back through ``extractions``.  Serially the
-        segments are one :meth:`extract_segments` batch; pooled, each
-        chunk is.
-        """
-        if executor is not None and executor.parallel:
-            return executor.extract_segments(segments)
-        return self.extract_segments(segments, to_xy)
-
     def extract(
         self,
         segments: list[TripSegment],
         to_xy,
-        executor=None,
         extractions: list[SegmentExtraction] | None = None,
     ) -> ExtractionResult:
         """Extract transitions from cleaned segments.
@@ -202,15 +189,12 @@ class TransitionExtractor:
         are folded in by the caller (see
         :meth:`repro.experiments.study.OuluStudy.run`).
 
-        ``executor`` is an optional :class:`repro.parallel.TripExecutor`;
-        per-segment outcomes are folded in segment order either way, so
-        parallel runs match serial ones exactly.  ``extractions``
-        optionally supplies precomputed outcomes aligned with
-        ``segments`` (the shard store's delta path) — the funnel fold is
-        identical either way.
+        ``extractions`` optionally supplies precomputed outcomes aligned
+        with ``segments`` (the shard store's delta path) — the funnel fold
+        is identical either way.
         """
         if extractions is None:
-            extractions = self.compute_units(segments, to_xy, executor)
+            extractions = self.compute_units(segments, to_xy)
         per_car: dict[int, dict[str, int]] = {}
         transitions: list[Transition] = []
         journal = get_journal()
@@ -225,7 +209,7 @@ class TransitionExtractor:
                 # Funnel stages 2-4 provenance per segment: did it cross a
                 # gate, which studied pair did it form, did it stay inside
                 # the centre — folded in segment order, so the lineage
-                # stream is identical for serial and parallel runs.
+                # stream is identical for cold and warm store runs.
                 journal.emit(
                     "lineage",
                     unit="segment",

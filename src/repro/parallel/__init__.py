@@ -1,17 +1,17 @@
-"""Parallel per-trip pipeline execution.
+"""Pooled map-matching.
 
-The paper's pipeline — clean, segment, gate-check, match, gap-fill — is
-embarrassingly parallel per trip: every unit of work depends only on one
-trip's points plus the shared read-only road network.  This package
-exploits that:
+The paper's pipeline is per trip: clean, segment, gate-check, then
+map-match with Dijkstra gap fill.  Only matching does enough work per
+unit to pay for shipping it to another process, so it is the pool's one
+task kind; cleaning and gate extraction run serially as one batch.
 
 * :mod:`repro.parallel.executor` — :class:`TripExecutor`, a chunked
   :class:`~concurrent.futures.ProcessPoolExecutor` fan-out whose workers
   build the road network / spatial index / route cache once each;
 * :mod:`repro.parallel.worker` — the worker-process context and chunk
   runner (returns results plus a chunk-local metrics registry);
-* :mod:`repro.parallel.tasks` — picklable task units and the pure
-  per-item functions shared by the serial and parallel paths.
+* :mod:`repro.parallel.tasks` — the picklable :class:`MatchTask` unit
+  and :func:`match_task`, the one function serial and pooled runs share.
 
 Results are byte-identical to serial execution for any worker count:
 outputs are re-ordered by input position and worker metrics merge in

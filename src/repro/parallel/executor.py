@@ -1,15 +1,16 @@
-"""Process-pool execution of per-trip pipeline work.
+"""Process-pool execution of per-transition map-matching.
 
-:class:`TripExecutor` fans chunks of per-trip tasks (clean, gate-check,
-match+gap-fill) over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-Each worker builds its context — road network, spatial index, matcher,
-Dijkstra route cache — exactly once via the pool initialiser; tasks then
-only pay for shipping their own points.
+:class:`TripExecutor` fans chunks of :class:`~repro.parallel.MatchTask`
+(map-matching plus gap-fill, the only task kind) over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker builds its
+context — road network, spatial index, matcher, Dijkstra route cache —
+exactly once via the pool initialiser; tasks then only pay for shipping
+their own points.
 
 Determinism contract: results come back ordered by input position and
 worker registries merge into the ambient registry in chunk order, so a
-run with any worker count or chunk size produces exactly the serial
-artefacts (only wall-time metrics differ).
+run with any worker count produces exactly the serial artefacts (only
+wall-time metrics differ).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.parallel.worker import WorkerPayload, init_worker, run_chunk
 
 _log = get_logger(__name__)
 
-#: Target chunks per worker when no explicit chunk size is given: enough
-#: slack for dynamic load balancing, few enough to amortise pickling.
+#: Target chunks per worker: enough slack for dynamic load balancing, few
+#: enough to amortise pickling.
 _CHUNKS_PER_WORKER = 4
 
 #: Upper bound on in-flight chunks per worker; submitting everything at
@@ -45,25 +46,19 @@ _INFLIGHT_PER_WORKER = 2
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """How (and whether) to parallelise per-trip work.
+    """How (and whether) to pool map-matching.
 
     ``workers <= 1`` keeps everything serial and in-process — the
-    default, so existing behaviour is unchanged.  ``chunk_size`` fixes
-    the batching (default: auto, ~4 chunks per worker).  ``start_method``
-    picks the multiprocessing start method (None = platform default).
+    default.  ``route_cache_path`` points at an optional on-disk route
+    cache every matcher warms itself from; serial runs write it back.
     """
 
     workers: int = 0
-    chunk_size: int | None = None
-    start_method: str | None = None
-    route_cache_size: int = 50_000
     route_cache_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.chunk_size is not None and self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
 
 
 class TripExecutor:
@@ -71,8 +66,8 @@ class TripExecutor:
 
     Use as a context manager; the pool is created lazily on the first
     parallel call and torn down on exit.  A non-parallel executor
-    (``workers <= 1``) is inert — pipeline code checks
-    :attr:`parallel` and runs inline.
+    (``workers <= 1``) is inert — the study checks :attr:`parallel` and
+    matches inline.
     """
 
     def __init__(self, payload: WorkerPayload, config: ExecutorConfig | None = None) -> None:
@@ -99,11 +94,6 @@ class TripExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            mp_context = None
-            if self.config.start_method is not None:
-                import multiprocessing
-
-                mp_context = multiprocessing.get_context(self.config.start_method)
             # Stamp the orchestrator's run identity into the payload at
             # pool creation so every worker installs the same trace_id at
             # init (a pool recycled after a crash re-stamps it too).
@@ -113,25 +103,13 @@ class TripExecutor:
                 payload = replace(payload, run_context=run)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.workers,
-                mp_context=mp_context,
                 initializer=init_worker,
                 initargs=(payload,),
             )
-            _log.info(
-                "worker pool started",
-                extra={
-                    "workers": self.config.workers,
-                    "start_method": self.config.start_method or "default",
-                },
-            )
+            _log.info("worker pool started", extra={"workers": self.config.workers})
         return self._pool
 
     # -- chunked mapping ----------------------------------------------------
-
-    def _chunk_size(self, n_items: int) -> int:
-        if self.config.chunk_size is not None:
-            return self.config.chunk_size
-        return max(1, math.ceil(n_items / (self.config.workers * _CHUNKS_PER_WORKER)))
 
     def _recycle_pool(self) -> None:
         """Tear down a broken pool so :meth:`_ensure_pool` rebuilds it."""
@@ -159,7 +137,7 @@ class TripExecutor:
             raise RuntimeError("map_chunked on a serial executor")
         if not items:
             return []
-        size = self._chunk_size(len(items))
+        size = max(1, math.ceil(len(items) / (self.config.workers * _CHUNKS_PER_WORKER)))
         chunks = [items[i : i + size] for i in range(0, len(items), size)]
         max_inflight = max(self.config.workers * _INFLIGHT_PER_WORKER, self.config.workers + 1)
         plan = self.payload.fault_plan
@@ -274,17 +252,3 @@ class TripExecutor:
             counter.inc()
         registry.counter(f"parallel.{kind}_items").inc(len(items))
         return results
-
-    # -- task-kind entry points (used by pipeline code) ---------------------
-
-    def clean_trips(self, trips: list) -> list:
-        """Per-trip cleaning (stages 1-5) across the pool."""
-        return self.map_chunked("clean", trips)
-
-    def extract_segments(self, segments: list) -> list:
-        """Per-segment gate-check/OD extraction across the pool."""
-        return self.map_chunked("extract", segments)
-
-    def match_transitions(self, tasks: list) -> list:
-        """Per-transition map-matching + gap-fill across the pool."""
-        return self.map_chunked("match", tasks)

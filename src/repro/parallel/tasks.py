@@ -1,10 +1,10 @@
-"""Per-item task units shared by the serial path and pool workers.
+"""The match task unit shared by the serial path and pool workers.
 
 The executor ships these across process boundaries, so everything here is
-plain picklable data plus pure functions over it.  The serial pipeline
-runs the *same* functions inline — one code path, two schedulers — which
-is what makes serial/parallel byte-identity a structural property rather
-than a test-enforced hope.
+plain picklable data plus pure functions over it.  The serial study runs
+the *same* :func:`match_task` inline — one code path, two schedulers —
+which is what makes serial/parallel byte-identity a structural property
+rather than a test-enforced hope.
 """
 
 from __future__ import annotations
@@ -42,6 +42,18 @@ class MatchTask:
     car_id: int
     origin: str
     destination: str
+
+    @classmethod
+    def from_transition(cls, index: int, transition) -> MatchTask:
+        """The task for ``transition``, the ``index``-th of its run."""
+        return cls(
+            index=index,
+            points=tuple(transition.points()),
+            segment_id=transition.segment.segment_id,
+            car_id=transition.segment.car_id,
+            origin=transition.origin,
+            destination=transition.destination,
+        )
 
 
 @dataclass

@@ -1,12 +1,11 @@
 """Worker-process side of the :class:`~repro.parallel.TripExecutor`.
 
 A worker is initialised exactly once per process with a
-:class:`WorkerPayload` — the configs needed to rebuild its execution
-context (cleaning pipeline, and for study work the synthetic city, its
-spatial index, OD gates, matcher and Dijkstra route cache).  The road
-network is deterministic given the :class:`~repro.roadnet.CitySpec`, so
-shipping the small spec and rebuilding beats pickling the whole graph
-into every task.
+:class:`WorkerPayload` — the configs needed to rebuild its matching
+context (the synthetic city, its spatial index, OD gates, matcher and
+Dijkstra route cache).  The road network is deterministic given the
+:class:`~repro.roadnet.CitySpec`, so shipping the small spec and
+rebuilding beats pickling the whole graph into every task.
 
 Chunks then execute against that long-lived context.  Each chunk records
 its metrics into a fresh chunk-local :class:`~repro.obs.MetricsRegistry`
@@ -20,11 +19,9 @@ from __future__ import annotations
 
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import obs
-from repro.cleaning import CleaningPipeline, FilterConfig, SegmentationConfig
-from repro.cleaning.segmentation import TripSegment
 from repro.faults import FaultPlan, RobustnessConfig, activate
 from repro.matching import make_matcher
 from repro.obs import (
@@ -40,25 +37,20 @@ from repro.obs import (
 )
 from repro.parallel.tasks import MatchOutcome, MatchTask, match_task, study_gates
 from repro.roadnet import CitySpec, RouteCache, build_synthetic_oulu
-from repro.od import TransitionConfig, TransitionExtractor
+from repro.od import TransitionConfig
 
 
 @dataclass(frozen=True)
 class WorkerPayload:
-    """Everything a worker needs to rebuild its execution context.
+    """Everything a worker needs to rebuild its matching context.
 
-    ``city_spec`` is optional: cleaning-only executors (``repro clean``)
-    never build a road network.  ``route_cache_path`` points at an
-    optional on-disk route cache every worker warms itself from.
+    ``route_cache_path`` points at an optional on-disk route cache every
+    worker warms itself from.
     """
 
-    filter_config: FilterConfig | None = None
-    segmentation_config: SegmentationConfig | None = None
-    repair: bool = True
-    city_spec: CitySpec | None = None
+    city_spec: CitySpec = field(default_factory=CitySpec)
     transition_config: TransitionConfig | None = None
     matcher: str = "incremental"
-    route_cache_size: int = 50_000
     route_cache_path: str | None = None
     #: Degraded-mode execution: per-unit guards + bounded retry inside
     #: every worker (None = historical fail-fast).  ``fault_plan`` ships
@@ -75,48 +67,18 @@ class WorkerPayload:
 
 
 class WorkerContext:
-    """The per-process context chunks execute against."""
+    """The per-process context match chunks execute against."""
 
     def __init__(self, payload: WorkerPayload) -> None:
         self.payload = payload
-        self.pipeline = CleaningPipeline(
-            payload.filter_config,
-            payload.segmentation_config,
-            payload.repair,
-            robustness=payload.robustness,
-        )
-        self.city = None
-        self.to_xy = None
-        self.gates_by_name = {}
-        self.extractor = None
-        self.matcher = None
-        self.route_cache = None
-        if payload.city_spec is not None:
-            city = build_synthetic_oulu(payload.city_spec)
-            projector = city.projector
-            self.city = city
-            self.to_xy = lambda p: projector.to_xy(p.lat, p.lon)
-            gates = study_gates(city)
-            self.gates_by_name = {g.name: g for g in gates}
-            self.extractor = TransitionExtractor(
-                gates, city.central_area, payload.transition_config
-            )
-            self.route_cache = RouteCache(payload.route_cache_size, payload.route_cache_path)
-            self.matcher = make_matcher(city.graph, payload.matcher, self.route_cache)
-
-    # -- chunk handlers (one per task kind) ---------------------------------
-
-    def clean(self, trips: list) -> list:
-        return self.pipeline.clean_trips(trips)
-
-    def extract(self, segments: list[TripSegment]) -> list:
-        if self.extractor is None:
-            raise RuntimeError("worker has no city context (city_spec not set)")
-        return self.extractor.extract_segments(segments, self.to_xy)
+        city = build_synthetic_oulu(payload.city_spec)
+        projector = city.projector
+        self.to_xy = lambda p: projector.to_xy(p.lat, p.lon)
+        self.gates_by_name = {g.name: g for g in study_gates(city)}
+        self.route_cache = RouteCache(path=payload.route_cache_path)
+        self.matcher = make_matcher(city.graph, payload.matcher, self.route_cache)
 
     def match(self, tasks: list[MatchTask]) -> list[MatchOutcome]:
-        if self.matcher is None:
-            raise RuntimeError("worker has no city context (city_spec not set)")
         return [
             match_task(
                 self.matcher,
@@ -183,9 +145,8 @@ def run_chunk(
     if inject_kill:
         os._exit(86)  # hard kill: no cleanup, exactly like an OOM/SIGKILL
     if _context is None:
-        # Serial in-process use (or a pool without the initializer):
-        # build a context lazily from an empty payload is wrong for
-        # city-bound work, so fail loudly instead of guessing.
+        # Serial in-process use (or a pool without the initializer) has
+        # no city to match against: fail loudly instead of guessing.
         raise RuntimeError("run_chunk called before init_worker")
     registry = MetricsRegistry()
     if _init_registry is not None:
@@ -201,19 +162,16 @@ def run_chunk(
             if trace.journal:
                 scopes.enter_context(use_journal(BufferJournal(registry.events)))
         results = handler(items)
-        if _context.route_cache is not None:
-            # Last-write-wins gauge: after the orchestrator's chunk-order
-            # merge this reports a live worker cache size instead of the
-            # serial-only value (0 on parallel runs before this fix).
-            registry.gauge("routing.route_cache_entries").set(
-                len(_context.route_cache)
+        # Last-write-wins gauge: after the orchestrator's chunk-order
+        # merge this reports a live worker cache size instead of the
+        # serial-only value (0 on parallel runs before this fix).
+        registry.gauge("routing.route_cache_entries").set(len(_context.route_cache))
+        if trace is not None and trace.journal:
+            obs.get_journal().emit(
+                "cache",
+                scope=kind,
+                hits=registry.counter("routing.route_cache_hits").value,
+                misses=registry.counter("routing.route_cache_misses").value,
+                entries=len(_context.route_cache),
             )
-            if trace is not None and trace.journal:
-                obs.get_journal().emit(
-                    "cache",
-                    scope=kind,
-                    hits=registry.counter("routing.route_cache_hits").value,
-                    misses=registry.counter("routing.route_cache_misses").value,
-                    entries=len(_context.route_cache),
-                )
     return results, registry

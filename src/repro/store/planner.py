@@ -453,9 +453,9 @@ class StudyPlanner:
     derives the chained stage keys; the four ``*_stage`` methods then
     each probe the store per shard, decode hits, hand the flattened
     misses to the stage's ``compute`` callable (the caller's existing
-    serial-or-parallel path), persist the freshly computed shard
-    artefacts, and return the per-unit results in global order — ready
-    for the unchanged orchestrator fold.
+    compute path, pooled for ``match`` only), persist the freshly
+    computed shard artefacts, and return the per-unit results in global
+    order — ready for the unchanged orchestrator fold.
     """
 
     def __init__(self, store: ShardStore, config) -> None:

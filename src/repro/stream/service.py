@@ -74,8 +74,8 @@ class StreamConfig:
 
     #: The study parameters the stream must reproduce exactly (city,
     #: grid, transition, matcher, robustness, faults).  The executor's
-    #: pool settings are ignored — streaming folds are inherently serial
-    #: — but its route cache settings apply.
+    #: ``workers`` is ignored — the stream fold is serial — but its
+    #: ``route_cache_path`` applies.
     study: StudyConfig = field(default_factory=StudyConfig)
     #: Input path (CSV, growing CSV, or fifo) for :func:`open_source`.
     input: str | None = None
@@ -248,10 +248,7 @@ class StreamService:
             self._gates, self.city.central_area, study.transition
         )
         self._pipeline = CleaningPipeline(robustness=study.robustness)
-        self._route_cache = RouteCache(
-            study.executor.route_cache_size,
-            study.executor.route_cache_path,
-        )
+        self._route_cache = RouteCache(path=study.executor.route_cache_path)
         self._matcher = make_matcher(self.city.graph, study.matcher, self._route_cache)
         #: Dedicated live matcher (feed-only; no gap fill, no counters).
         self._live_matcher = IncrementalMatcher(self.city.graph)
@@ -672,14 +669,7 @@ class StreamService:
         index = self._transition_count
         self._transition_count += 1
         window["transitions"] += 1
-        task = MatchTask(
-            index=index,
-            points=tuple(transition.points()),
-            segment_id=seg.segment_id,
-            car_id=seg.car_id,
-            origin=transition.origin,
-            destination=transition.destination,
-        )
+        task = MatchTask.from_transition(index, transition)
         outcome = match_task(
             self._matcher, self._to_xy, self._extractor.gates_by_name,
             study.transition, task, robustness=study.robustness,

@@ -2,9 +2,9 @@
 
 :class:`FleetArrays` holds a batch of trips' route points as parallel
 NumPy columns plus per-trip offsets — the shape the cleaning kernels
-consume.  A batch is a whole fleet on the serial path, one chunk per
-pool task, or a single trip on the streaming path; a one-trip batch is
-simply ``offsets == [0, n]``.  The row-oriented
+consume.  A batch is a whole fleet (or the shard store's dirty subset of
+it) on the batch path, or a single trip on the streaming path; a
+one-trip batch is simply ``offsets == [0, n]``.  The row-oriented
 :class:`~repro.traces.model.RoutePoint` dataclasses stay the interchange
 format: every column is built in one ``np.fromiter`` pass over the
 batch's points.

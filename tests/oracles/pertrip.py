@@ -2,7 +2,7 @@
 
 The cleaning pipeline and the gate funnel once ran one trip (one
 segment) at a time; :func:`repro.cleaning.pipeline.clean_batch` and
-:meth:`repro.od.TransitionExtractor.extract_segments` now run a whole
+:meth:`repro.od.TransitionExtractor.compute_units` now run a whole
 batch as one set of array passes.  These are the per-trip bodies they
 replaced — ordering repair and Table 2 segmentation over one trip's own
 columns, the sequential duplicate and glitch filters over its points,

@@ -2,7 +2,7 @@
 
 :func:`repro.cleaning.pipeline.clean_batch` cleans a whole batch of trips
 as one set of array passes, and
-:meth:`repro.od.TransitionExtractor.extract_segments` gates a whole
+:meth:`repro.od.TransitionExtractor.compute_units` gates a whole
 batch of segments.  Their contract is byte identity with the per-trip
 references in :mod:`tests.oracles.pertrip`: ``repr``-equal segments,
 bit-equal seeded lengths and reports, equal crossing events — for every
@@ -376,10 +376,10 @@ class TestCrossingBatch:
         segments = clean_result.segments
         expected = pertrip.extract_segments(extractor, segments, to_xy)
         assert any(e.transition for e in expected)
-        assert extractor.extract_segments(segments, to_xy) == expected
+        assert extractor.compute_units(segments, to_xy) == expected
         rng = random.Random(5)
         lo = 0
         while lo < len(segments):
             hi = lo + rng.randint(1, 40)
-            assert extractor.extract_segments(segments[lo:hi], to_xy) == expected[lo:hi]
+            assert extractor.compute_units(segments[lo:hi], to_xy) == expected[lo:hi]
             lo = hi

@@ -132,14 +132,15 @@ class TestBadFlagValues:
     @pytest.mark.parametrize("argv, message", [
         (["study", "--workers", "-1"],
          "repro study: workers must be non-negative"),
-        (["study", "--chunk-size", "0"],
-         "repro study: chunk_size must be positive"),
+        (["study", "--fault-plan", "PLAN"],
+         "repro study: kill_chunk kind must be one of ['match', 'stream'], "
+         "got 'mach'"),
         (["study", "--days", "0"],
          "repro study: need at least one taxi and one day"),
         (["study", "--max-error-rate", "2"],
          "repro study: max_error_rate must be in [0, 1]"),
-        (["serve", "--input", "POINTS", "--workers", "-1"],
-         "repro serve: workers must be non-negative"),
+        (["serve", "--input", "POINTS", "--batch-size", "0"],
+         "repro serve: batch_size must be at least 1"),
         (["clean", "MISSING.csv"],
          "repro clean: no such file or directory: MISSING.csv"),
         (["study", "--input", "MISSING.csv"],
@@ -150,10 +151,10 @@ class TestBadFlagValues:
          "repro obs: no such file or directory: MISSING.jsonl"),
         (["obs", "diff", "MISSING_A", "MISSING_B"],
          "repro obs: no such file or directory: MISSING_A"),
-        (["clean", "POINTS", "--workers", "-1"],
-         "repro clean: workers must be non-negative"),
-        (["report", "--chunk-size", "0"],
-         "repro report: chunk_size must be positive"),
+        (["clean", "POINTS", "--max-error-rate", "2"],
+         "repro clean: max_error_rate must be in [0, 1]"),
+        (["report", "--workers", "-1"],
+         "repro report: workers must be non-negative"),
         (["simulate", "--days", "0"],
          "repro simulate: need at least one taxi and one day"),
         (["study", "--days", "2", "--routing-engine", "ch"],
@@ -162,10 +163,31 @@ class TestBadFlagValues:
     def test_reported_in_one_line_with_exit_2(
         self, argv, message, tmp_path, monkeypatch, capsys
     ):
+        self._check_exit_2(argv, message, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["clean", "POINTS", "--workers", "2"],
+        ["clean", "POINTS", "--chunk-size", "4"],
+        ["clean", "POINTS", "--route-cache", "routes.json"],
+        ["serve", "--input", "POINTS", "--workers", "3"],
+        ["serve", "--input", "POINTS", "--chunk-size", "4"],
+        ["study", "--days", "2", "--chunk-size", "4"],
+        ["report", "--days", "2", "--chunk-size", "4"],
+    ])
+    def test_removed_flag_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        """Flags that chose nothing (cleaning never routes or pools, the
+        stream folds serially, chunking never changed an output) are
+        gone: passing one is a usage error, not a silent no-op."""
+        message = f"repro: error: unrecognized arguments: {' '.join(argv[-2:])}"
+        self._check_exit_2(argv, message, tmp_path, monkeypatch, capsys)
+
+    @staticmethod
+    def _check_exit_2(argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "POINTS").write_text(
             "car_id,point_id,trip_id,lat,lon,time_s,speed_kmh,fuel_ml\n"
         )
+        (tmp_path / "PLAN").write_text('{"kill_chunk": {"mach": 0}}')
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
@@ -175,4 +197,4 @@ class TestBadFlagValues:
         assert last == message
         # Only argparse prints anything (its usage text) before the line.
         assert all(line.startswith(("usage:", " ")) for line in usage)
-        assert [p.name for p in tmp_path.iterdir()] == ["POINTS"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["PLAN", "POINTS"]

@@ -52,9 +52,28 @@ class TestFaultPlan:
             seed=3, corrupt_row_rate=0.1, truncate_after_rows=9,
             clean_error_rate=0.2, match_error_rate=0.3,
             route_error_rate=0.05, transient_rate=0.5,
-            kill_chunk={"clean": 1, "match": 0},
+            kill_chunk={"match": 1, "stream": 0},
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
+
+    @pytest.mark.parametrize("kill_chunk, message", [
+        ({"mach": 0}, "kill_chunk kind must be one of"),
+        ({"clean": 1}, "kill_chunk kind must be one of"),
+        ({"extract": 0}, "kill_chunk kind must be one of"),
+        ({"match": -1}, "kill_chunk index must be non-negative"),
+        ({"stream": -2}, "kill_chunk index must be non-negative"),
+    ])
+    def test_rejects_kill_chunk_it_cannot_honour(self, kill_chunk, message):
+        """Only match chunks and stream checkpoints can be killed; any
+        other kind, or a negative index, would never fire and leave the
+        chaos run testing nothing."""
+        with pytest.raises(ValueError, match=message):
+            FaultPlan(kill_chunk=kill_chunk)
+        with pytest.raises(ValueError, match=message):
+            FaultPlan.from_dict({"kill_chunk": kill_chunk})
+
+    def test_null_kill_chunk_kills_nothing(self):
+        assert FaultPlan.from_dict({"kill_chunk": None}) == FaultPlan()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown fault plan keys"):

@@ -39,7 +39,7 @@ def chaos_run(chaos_seed, baseline):
     )
     config = StudyConfig(
         fleet=FLEET,
-        executor=ExecutorConfig(workers=2, chunk_size=16),
+        executor=ExecutorConfig(workers=2),
         robustness=RobustnessConfig(retries=2, backoff_base_s=0.0),
         faults=plan,
     )

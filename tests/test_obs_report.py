@@ -194,7 +194,7 @@ def _journaled_run(out_dir: Path, workers: int):
     ctx = RunContext.create()
     config = StudyConfig(
         fleet=_FLEET,
-        executor=ExecutorConfig(workers=workers, chunk_size=8),
+        executor=ExecutorConfig(workers=workers),
         robustness=RobustnessConfig(max_error_rate=0.5, backoff_base_s=0.0),
         faults=_PLAN,
     )

@@ -10,12 +10,13 @@ state, and a forked worker resets what it inherited.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.experiments import OuluStudy, StudyConfig
-from repro.parallel import ExecutorConfig, TripExecutor, WorkerPayload
+from repro.parallel import ExecutorConfig, MatchTask, TripExecutor, WorkerPayload
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import init_worker, run_chunk
 from repro.roadnet import RouteCache, cached_shortest_path
@@ -36,14 +37,10 @@ class TestExecutorConfig:
         with pytest.raises(ValueError):
             ExecutorConfig(workers=-1)
 
-    def test_rejects_non_positive_chunk_size(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(workers=2, chunk_size=0)
-
     def test_serial_executor_refuses_map_chunked(self):
         with TripExecutor(WorkerPayload()) as executor:
             with pytest.raises(RuntimeError):
-                executor.map_chunked("clean", [1, 2, 3])
+                executor.map_chunked("match", [1, 2, 3])
 
 
 # -- worker-process safety --------------------------------------------------
@@ -53,7 +50,7 @@ class TestWorkerSafety:
     def test_run_chunk_before_init_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(worker_mod, "_context", None)
         with pytest.raises(RuntimeError):
-            run_chunk("clean", [])
+            run_chunk("match", [])
 
     def test_reset_worker_state_clears_inherited_bindings(self):
         inherited = obs.MetricsRegistry()
@@ -76,12 +73,17 @@ class TestWorkerSafety:
             obs.clear_registry()
             obs.reset_span_stack()
 
-    def test_run_chunk_cleans_trips(self, fleet):
+    def test_run_chunk_matches_transitions(self, study_result):
+        tasks = [
+            MatchTask.from_transition(i, transition)
+            for i, transition in enumerate(study_result.extraction.transitions[:3])
+        ]
         init_worker(WorkerPayload())
-        results, chunk_registry = run_chunk("clean", fleet.trips[:3])
-        assert len(results) == 3
-        assert all(r.segments for r in results)
+        results, chunk_registry = run_chunk("match", tasks)
+        assert [r.index for r in results] == [0, 1, 2]
+        assert [r.route for r in results] == [study_result.matched.get(i) for i in range(3)]
         assert isinstance(chunk_registry, obs.MetricsRegistry)
+        assert chunk_registry.counter("matching.calls").value == 3
 
     def test_run_chunk_records_into_chunk_local_registry(self):
         ambient = obs.MetricsRegistry()
@@ -230,13 +232,17 @@ class TestSerialParallelEquivalence:
             serial.extraction.transitions
         )
 
-    def test_chunk_size_does_not_change_results(self):
-        config = StudyConfig(
-            fleet=FleetSpec(n_days=2, seed=7),
-            executor=ExecutorConfig(workers=2, chunk_size=1),
-        )
-        tiny_chunks = OuluStudy(config).run()
-        serial = _study(0)
-        assert tiny_chunks.kept_transitions == serial.kept_transitions
-        assert tiny_chunks.funnel == serial.funnel
-        assert _comparable_counters(tiny_chunks) == _comparable_counters(serial)
+    def test_chunk_size_does_not_change_results(self, study_result):
+        """Three workers cut the shared 30-day study's transitions into
+        other auto chunks than two workers do (about four per worker)."""
+        serial = study_result
+        three_workers = OuluStudy(
+            replace(serial.config, executor=ExecutorConfig(workers=3))
+        ).run()
+        n = len(serial.extraction.transitions)
+        size = math.ceil(n / 12)
+        assert size != math.ceil(n / 8), "the two chunkings must differ"
+        assert three_workers.metrics["counters"]["parallel.match_chunks"] == math.ceil(n / size)
+        assert three_workers.kept_transitions == serial.kept_transitions
+        assert three_workers.funnel == serial.funnel
+        assert _comparable_counters(three_workers) == _comparable_counters(serial)

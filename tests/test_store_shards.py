@@ -300,7 +300,7 @@ class TestDeltaRecomputation:
     def test_warm_hit_with_workers_is_byte_identical(self, warm_pair):
         store_dir, cold, __ = warm_pair
         parallel = OuluStudy(small_config(
-            store_dir, executor=ExecutorConfig(workers=2, chunk_size=4),
+            store_dir, executor=ExecutorConfig(workers=2),
         )).run()
         sc = store_counters(parallel)
         assert sc.get("store.misses", 0) == 0
@@ -311,7 +311,7 @@ class TestDeltaRecomputation:
         parallel_dir = tmp_path / "parallel"
         serial = OuluStudy(small_config(serial_dir)).run()
         parallel = OuluStudy(small_config(
-            parallel_dir, executor=ExecutorConfig(workers=2, chunk_size=4),
+            parallel_dir, executor=ExecutorConfig(workers=2),
         )).run()
         assert artefact_fingerprint(serial) == artefact_fingerprint(parallel)
         # Content addressing: both stores hold exactly the same keys.

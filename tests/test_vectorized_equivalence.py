@@ -67,7 +67,7 @@ def patch_oracles(monkeypatch) -> None:
             segment_trip=cleaning_oracle.segment_trip,
         ),
     )
-    monkeypatch.setattr(TransitionExtractor, "extract_segments", scalar_extract_segments)
+    monkeypatch.setattr(TransitionExtractor, "compute_units", scalar_extract_segments)
     for module in (incremental_module, hmm_module):
         monkeypatch.setattr(
             module, "candidates_for_points", candidates_oracle.candidates_for_points
@@ -220,7 +220,7 @@ class TestExtractionEquivalence:
         segments = clean_result.segments[:150]
         vectorized = TransitionExtractor(gates, city.central_area).extract(segments, to_xy)
         monkeypatch.setattr(
-            TransitionExtractor, "extract_segments", scalar_extract_segments
+            TransitionExtractor, "compute_units", scalar_extract_segments
         )
         scalar = TransitionExtractor(gates, city.central_area).extract(segments, to_xy)
         assert scalar.funnel == vectorized.funnel
