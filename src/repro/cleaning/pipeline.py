@@ -16,7 +16,7 @@ otherwise effecting the analysis" is only auditable with such a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -84,7 +84,7 @@ class CleaningReport:
 class TripCleanResult:
     """One trip's worth of cleaning output — the pipeline's unit of work.
 
-    Segment ids are local (1-based within the trip); :meth:`CleaningPipeline.run`
+    Segment ids are local (1-based within the trip); :class:`CleaningFold`
     renumbers them fleet-sequentially in trip order, so a trip cleaned
     alone (the stream) or in a shard-store subset gets exactly the ids
     of a whole-fleet batch.
@@ -109,6 +109,117 @@ class CleanResult:
 
     def segments_for_car(self, car_id: int) -> list[TripSegment]:
         return [s for s in self.segments if s.car_id == car_id]
+
+
+class CleaningFold:
+    """Per-trip accounting: trip results in, the cleaning report out.
+
+    The one fold behind :meth:`CleaningPipeline.run` (a whole fleet) and
+    the streaming service (one closed trip at a time).  Each
+    :meth:`add` takes a trip's result as its caller computed it, emits
+    the trip's lineage, sums the report, gives its segments
+    fleet-sequential ids (dropped segments consume ids too) and applies
+    the segment filter, which judges each segment alone — so filtering
+    trip by trip keeps exactly the whole fleet's list.
+    """
+
+    def __init__(
+        self, filter_config: FilterConfig, quarantine: Quarantine | None = None
+    ) -> None:
+        self.filter_config = filter_config
+        self.quarantine = quarantine if quarantine is not None else Quarantine()
+        self.report = CleaningReport(stage_seconds=dict.fromkeys(STAGES, 0.0))
+        self.next_segment_id = 1
+
+    def add(self, trip: Trip, result: TripCleanResult | TripError) -> list[TripSegment]:
+        """Fold one trip's result; returns its segments that pass the filter."""
+        report = self.report
+        report.trips_in += 1
+        report.points_in += len(trip.points)
+        if isinstance(result, TripError):
+            self.quarantine.add(result)
+            report.errors.append(result)
+            kept = []
+        else:
+            kept = self._add_cleaned(result)
+        journal = get_journal()
+        if journal.enabled:
+            journal.emit("lineage", unit="trip", trip_id=trip.trip_id,
+                         **_trip_lineage(result))
+        return kept
+
+    def _add_cleaned(self, result: TripCleanResult) -> list[TripSegment]:
+        report = self.report
+        if result.reordered:
+            report.reordered_trips += 1
+            report.reordering_saved_m += result.reordering_saved_m
+        report.duplicates_removed += result.duplicates_removed
+        report.outliers_removed += result.outliers_removed
+        report.out_of_bounds_removed += result.out_of_bounds_removed
+        report.segmentation.merge(result.segmentation)
+        for stage, seconds in result.stage_seconds.items():
+            report.stage_seconds[stage] += seconds
+        for segment in result.segments:
+            segment.segment_id = self.next_segment_id
+            self.next_segment_id += 1
+        t0 = perf_counter()
+        kept, dropped_short, dropped_long = filter_segments(
+            result.segments, self.filter_config
+        )
+        report.stage_seconds["segment_filter"] += perf_counter() - t0
+        report.segments_dropped_short += dropped_short
+        report.segments_dropped_long += dropped_long
+        report.segments_out += len(kept)
+        report.points_out += sum(len(s.points) for s in kept)
+        return kept
+
+    def finish(self) -> CleaningReport:
+        """The folded report, published to the metrics registry and log."""
+        _publish(self.report)
+        return self.report
+
+    def to_payload(self) -> dict:
+        """The fold's state as JSON (floats round-trip exactly)."""
+        return {"report": asdict(self.report), "next_segment_id": self.next_segment_id}
+
+    def restore(self, payload: dict) -> None:
+        """Continue from a :meth:`to_payload` state."""
+        doc = dict(payload["report"])
+        segmentation = doc.pop("segmentation")
+        segmentation["rule_hits"] = {
+            int(rule): hits for rule, hits in segmentation["rule_hits"].items()
+        }
+        doc["errors"] = [TripError(**e) for e in doc["errors"]]
+        self.report = CleaningReport(
+            **doc, segmentation=SegmentationReport(**segmentation)
+        )
+        self.next_segment_id = payload["next_segment_id"]
+
+
+def _trip_lineage(result: TripCleanResult | TripError) -> dict:
+    """A trip's lineage fields: why it was quarantined, or which Table 2
+    rules fired and what each filter removed — the per-trip provenance
+    the aggregate report cannot answer."""
+    if isinstance(result, TripError):
+        return {
+            "disposition": "quarantined",
+            "stage": result.stage,
+            "reason": result.kind,
+            "fault_tag": result.fault_tag,
+        }
+    return {
+        "disposition": "cleaned",
+        "segments": len(result.segments),
+        "reordered": result.reordered,
+        "duplicates_removed": result.duplicates_removed,
+        "outliers_removed": result.outliers_removed,
+        "out_of_bounds_removed": result.out_of_bounds_removed,
+        "rules": {
+            rule: hits
+            for rule, hits in sorted(result.segmentation.rule_hits.items())
+            if hits
+        },
+    }
 
 
 def clean_batch(
@@ -229,9 +340,9 @@ class CleaningPipeline:
     def clean_trip(self, trip) -> TripCleanResult:
         """Clean and segment one trip — the one-trip form of :func:`clean_batch`.
 
-        Stages 1-5 run per trip; the fleet-level segment filter (stage 6)
-        and sequential segment-id assignment happen in :meth:`run`, so the
-        result is independent of which process handles the trip.
+        Stages 1-5 run per trip; the segment filter (stage 6) and
+        sequential segment-id assignment happen in :class:`CleaningFold`,
+        so the result is independent of which process handles the trip.
         """
         maybe_inject("clean", trip.trip_id)
         return self._clean([trip])[0]
@@ -322,122 +433,59 @@ class CleaningPipeline:
         and the surviving trips produce exactly the artefacts a
         fault-free run over that surviving subset would.
         """
-        report = CleaningReport(trips_in=len(fleet), points_in=fleet.point_count)
-        if quarantine is None:
-            quarantine = Quarantine()
-        stage_s = dict.fromkeys(STAGES, 0.0)
+        fold = CleaningFold(self.filter_config, quarantine)
         segments: list[TripSegment] = []
         with span("clean"):
             if per_trip is None:
                 per_trip = self.compute_units(fleet.trips)
-            journal = get_journal()
-            next_segment_id = 1
             for trip, trip_result in zip(fleet.trips, per_trip):
-                if isinstance(trip_result, TripError):
-                    quarantine.add(trip_result)
-                    report.errors.append(trip_result)
-                    if journal.enabled:
-                        journal.emit(
-                            "lineage",
-                            unit="trip",
-                            trip_id=trip.trip_id,
-                            disposition="quarantined",
-                            stage=trip_result.stage,
-                            reason=trip_result.kind,
-                            fault_tag=trip_result.fault_tag,
-                        )
-                    continue
-                if journal.enabled:
-                    # Which Table 2 rules fired for this trip, and what
-                    # each filter removed — the per-trip provenance the
-                    # aggregate report cannot answer.
-                    journal.emit(
-                        "lineage",
-                        unit="trip",
-                        trip_id=trip.trip_id,
-                        disposition="cleaned",
-                        segments=len(trip_result.segments),
-                        reordered=trip_result.reordered,
-                        duplicates_removed=trip_result.duplicates_removed,
-                        outliers_removed=trip_result.outliers_removed,
-                        out_of_bounds_removed=trip_result.out_of_bounds_removed,
-                        rules={
-                            rule: hits
-                            for rule, hits in sorted(
-                                trip_result.segmentation.rule_hits.items()
-                            )
-                            if hits
-                        },
-                    )
-                if trip_result.reordered:
-                    report.reordered_trips += 1
-                    report.reordering_saved_m += trip_result.reordering_saved_m
-                report.duplicates_removed += trip_result.duplicates_removed
-                report.outliers_removed += trip_result.outliers_removed
-                report.out_of_bounds_removed += trip_result.out_of_bounds_removed
-                report.segmentation.merge(trip_result.segmentation)
-                for stage, seconds in trip_result.stage_seconds.items():
-                    stage_s[stage] += seconds
-                for segment in trip_result.segments:
-                    segment.segment_id = next_segment_id
-                    next_segment_id += 1
-                segments.extend(trip_result.segments)
-            t0 = perf_counter()
-            kept, dropped_short, dropped_long = filter_segments(
-                segments, self.filter_config
-            )
-            stage_s["segment_filter"] += perf_counter() - t0
-        report.segments_dropped_short = dropped_short
-        report.segments_dropped_long = dropped_long
-        report.segments_out = len(kept)
-        report.points_out = sum(len(s.points) for s in kept)
-        report.stage_seconds = stage_s
-        self._publish(report)
-        return CleanResult(segments=kept, report=report)
+                segments.extend(fold.add(trip, trip_result))
+        return CleanResult(segments=segments, report=fold.finish())
 
-    def _publish(self, report: CleaningReport) -> None:
-        """Feed the run's accounting to the metrics registry and logger."""
-        registry = get_registry()
-        for name, value in (
-            ("clean.trips_in", report.trips_in),
-            ("clean.points_in", report.points_in),
-            ("clean.reordered_trips", report.reordered_trips),
-            ("clean.duplicates_removed", report.duplicates_removed),
-            ("clean.outliers_removed", report.outliers_removed),
-            ("clean.out_of_bounds_removed", report.out_of_bounds_removed),
-            ("clean.segments_dropped_short", report.segments_dropped_short),
-            ("clean.segments_dropped_long", report.segments_dropped_long),
-            ("clean.segments_out", report.segments_out),
-            ("clean.points_out", report.points_out),
-        ):
-            registry.counter(name).inc(value)
-        for stage, seconds in report.stage_seconds.items():
-            registry.gauge(f"clean.stage_seconds.{stage}").set(seconds)
-        if _log.isEnabledFor(20):  # INFO
-            dropped = {
-                "ordering": report.reordered_trips,
-                "duplicates": report.duplicates_removed,
-                "outliers": report.outliers_removed,
-                "bounds": report.out_of_bounds_removed,
-                "segmentation": report.segmentation.segments_created,
-                "segment_filter": report.segments_dropped_short
-                + report.segments_dropped_long,
-            }
-            for stage in STAGES:
-                _log.info(
-                    "cleaning stage complete",
-                    extra={
-                        "stage": stage,
-                        "affected": dropped[stage],
-                        "seconds": round(report.stage_seconds[stage], 4),
-                    },
-                )
+
+def _publish(report: CleaningReport) -> None:
+    """Feed a run's accounting to the metrics registry and logger."""
+    registry = get_registry()
+    for name, value in (
+        ("clean.trips_in", report.trips_in),
+        ("clean.points_in", report.points_in),
+        ("clean.reordered_trips", report.reordered_trips),
+        ("clean.duplicates_removed", report.duplicates_removed),
+        ("clean.outliers_removed", report.outliers_removed),
+        ("clean.out_of_bounds_removed", report.out_of_bounds_removed),
+        ("clean.segments_dropped_short", report.segments_dropped_short),
+        ("clean.segments_dropped_long", report.segments_dropped_long),
+        ("clean.segments_out", report.segments_out),
+        ("clean.points_out", report.points_out),
+    ):
+        registry.counter(name).inc(value)
+    for stage, seconds in report.stage_seconds.items():
+        registry.gauge(f"clean.stage_seconds.{stage}").set(seconds)
+    if _log.isEnabledFor(20):  # INFO
+        dropped = {
+            "ordering": report.reordered_trips,
+            "duplicates": report.duplicates_removed,
+            "outliers": report.outliers_removed,
+            "bounds": report.out_of_bounds_removed,
+            "segmentation": report.segmentation.segments_created,
+            "segment_filter": report.segments_dropped_short
+            + report.segments_dropped_long,
+        }
+        for stage in STAGES:
             _log.info(
-                "cleaning complete",
+                "cleaning stage complete",
                 extra={
-                    "trips_in": report.trips_in,
-                    "points_in": report.points_in,
-                    "segments_out": report.segments_out,
-                    "points_out": report.points_out,
+                    "stage": stage,
+                    "affected": dropped[stage],
+                    "seconds": round(report.stage_seconds[stage], 4),
                 },
             )
+        _log.info(
+            "cleaning complete",
+            extra={
+                "trips_in": report.trips_in,
+                "points_in": report.points_in,
+                "segments_out": report.segments_out,
+                "points_out": report.points_out,
+            },
+        )

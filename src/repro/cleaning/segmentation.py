@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geo.distance import haversine_m
 from repro.traces.arrays import FleetArrays
 from repro.traces.model import RoutePoint, Trip, trip_distance_m
 
@@ -109,39 +108,14 @@ class TripSegment:
         return len(self.points)
 
 
-def _stop_rule(
-    a: RoutePoint, b: RoutePoint, config: SegmentationConfig, window_1_s: float
-) -> int:
-    """Which Table 2 rule (1-4) declares the gap a->b a stop; 0 for none.
-
-    The one-gap form of :func:`_stop_rules`, for callers that see a
-    trip one fix at a time (the streaming service's rule preview).
-    """
-    dt = b.time_s - a.time_s
-    dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
-    if dt >= window_1_s and dist <= config.rule1_epsilon_m:
-        return 1
-    if dt > config.rule2_window_s and dist < config.rule2_distance_m:
-        return 2
-    if dt >= config.rule3_min_window_s and dist / dt < config.rule3_speed_mps:
-        return 3
-    if (
-        dt > config.rule4_window_s
-        and dist < config.rule4_distance_m
-        and (dt > 0 and dist / dt >= config.rule3_speed_mps)
-    ):
-        return 4
-    return 0
-
-
 def _stop_rules(
     dist: np.ndarray, dt: np.ndarray, config: SegmentationConfig, window_1_s: float
 ) -> np.ndarray:
     """Table 2 rules 1-4 as one array over gaps (0 where no rule fires).
 
     Each rule is a boolean mask over the gap distance/dt columns; the
-    firing rule per gap is the first true mask — exactly the
-    :func:`_stop_rule` precedence.
+    firing rule per gap is the first true mask, in rule order (the
+    one-gap form is ``tests/oracles/cleaning.py::_stop_rule``).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = dist / dt

@@ -296,9 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--idle-timeout", type=float, default=5.0,
                        metavar="SECONDS",
                        help="tail mode: stop after this long without growth")
-    serve.add_argument("--live-match", action="store_true",
-                       help="feed open trips through a live matcher state "
-                            "on arrival (observational)")
     serve.add_argument("--matcher", choices=("incremental", "hmm"),
                        default="incremental",
                        help="map-matching algorithm (default: incremental)")
@@ -638,11 +635,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 str(args.checkpoint_dir)
                 if args.checkpoint_dir is not None else None
             ),
-            live_match=args.live_match,
             idle_timeout_s=args.idle_timeout,
         )
     if args.mode != "tail":  # a tailed file may appear later
         _require_inputs(args.input)
+    service = StreamService(config)
+    if not args.no_resume:
+        with _checking_flags():
+            service.resume_checkpoint()  # refuses an incompatible checkpoint
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     errors_path: Path = args.errors_out or (out / "errors.jsonl")
@@ -653,9 +653,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     status = "error"
     try:
         with obs.use_journal(journal or obs.Journal()):
-            result = StreamService(config).run(
-                run_context=run_ctx, resume=not args.no_resume
-            )
+            result = service.run(run_context=run_ctx, resume=not args.no_resume)
         status = "ok"
     except ErrorRateExceeded as exc:
         quarantine = Quarantine()

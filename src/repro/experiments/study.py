@@ -8,7 +8,7 @@ can derive the evaluation outputs without re-running stages.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.cleaning import CleaningPipeline, CleanResult
 from repro.faults import (
@@ -19,6 +19,7 @@ from repro.faults import (
     inject_faults,
 )
 from repro.features import GridAccumulator, GridSpec, cell_feature_counts
+from repro.features.grid import CellKey
 from repro.features.routestats import RouteStats, transition_route_stats
 from repro.matching import MatchedRoute, make_matcher
 from repro.obs import (
@@ -36,6 +37,7 @@ from repro.od import TransitionExtractor
 from repro.od.transitions import ExtractionResult, FunnelRow, Transition, TransitionConfig
 from repro.parallel import (
     ExecutorConfig,
+    MatchOutcome,
     MatchTask,
     TripExecutor,
     WorkerPayload,
@@ -98,8 +100,119 @@ class StudyConfig:
         )
 
 
+class MatchFold:
+    """Per-transition accounting from match outcome to Table 4 and the grid.
+
+    The one fold behind :class:`OuluStudy` (a fleet's transitions in
+    index order) and the streaming service (each transition as its trip
+    closes).  It only accumulates: :meth:`add_outcome` takes a
+    transition's :class:`~repro.parallel.MatchOutcome` and
+    :meth:`add_route` a kept transition's Table 4 row, each as its
+    caller computed it.
+    """
+
+    def __init__(self, grid: GridSpec, quarantine: Quarantine) -> None:
+        self.quarantine = quarantine
+        #: Transitions folded so far (the next one's match index).
+        self.transitions = 0
+        #: Indices of the transitions that survived the post-filter.
+        self.kept: list[int] = []
+        self.post_per_car: dict[int, int] = {}
+        self.route_stats: list[RouteStats] = []
+        self.grid = GridAccumulator(grid)
+        #: Matched point speeds and their cells, in add order: the
+        #: mixed model's inputs.
+        self.speeds: list[float] = []
+        self.cells: list[CellKey] = []
+
+    def add_outcome(self, transition: Transition, outcome: MatchOutcome) -> bool:
+        """Fold one transition's match outcome; True when it is kept."""
+        self.transitions += 1
+        journal = get_journal()
+        if journal.enabled:
+            # Per-transition match provenance: latency and route source
+            # travel back on the outcome, so the lineage stream is
+            # identical for serial, parallel and streamed runs.
+            journal.emit(
+                "lineage",
+                unit="transition",
+                transition_index=outcome.index,
+                segment_id=transition.segment.segment_id,
+                car_id=transition.segment.car_id,
+                direction=transition.direction,
+                matched=outcome.route is not None,
+                kept=bool(outcome.kept),
+                match_seconds=round(outcome.elapsed_s, 6),
+                route_source=outcome.route_source,
+                quarantined=outcome.error is not None,
+            )
+        if outcome.error is not None:
+            self.quarantine.add(outcome.error)
+        transition.post_filtered_ok = outcome.kept  # False without a route
+        if not outcome.kept:
+            return False
+        self.kept.append(outcome.index)
+        car = transition.segment.car_id
+        self.post_per_car[car] = self.post_per_car.get(car, 0) + 1
+        return True
+
+    def add_route(self, stats: RouteStats, route: MatchedRoute) -> None:
+        """Fold a kept transition's Table 4 row and its matched speeds."""
+        self.route_stats.append(stats)
+        for m in route.matched:
+            key = self.grid.add_point(m.snapped_xy, m.point.speed_kmh)
+            self.speeds.append(m.point.speed_kmh)
+            self.cells.append(key)
+
+    def funnel(self, rows: list[FunnelRow]) -> list[FunnelRow]:
+        """Table 3 with its post-filter column from the folded outcomes."""
+        return [
+            replace(row, post_filtered=self.post_per_car.get(row.car_id, 0))
+            for row in rows
+        ]
+
+    def mixed_model(self) -> MixedModelResult | None:
+        """The random-intercept model of cell speeds, when there is data."""
+        if len(set(self.cells)) >= 3 and len(self.speeds) >= 10:
+            return RandomInterceptModel().fit(self.speeds, self.cells)
+        return None
+
+    def to_payload(self) -> dict:
+        """The fold's state as JSON; each matched speed is stored once."""
+        return {
+            "transitions": self.transitions,
+            "kept": list(self.kept),
+            "post_per_car": [[car, n] for car, n in self.post_per_car.items()],
+            "route_stats": [asdict(s) for s in self.route_stats],
+            "speeds": list(self.speeds),
+            "cells": [list(key) for key in self.cells],
+        }
+
+    def restore(self, payload: dict) -> None:
+        """Continue from a :meth:`to_payload` state; the grid adds replay
+        in order, which rebuilds the same Welford partials and cell order."""
+        self.transitions = payload["transitions"]
+        self.kept = list(payload["kept"])
+        self.post_per_car = {car: n for car, n in payload["post_per_car"]}
+        self.route_stats = [RouteStats(**d) for d in payload["route_stats"]]
+        self.speeds = list(payload["speeds"])
+        self.cells = [tuple(key) for key in payload["cells"]]
+        for key, speed in zip(self.cells, self.speeds):
+            self.grid.add(key, speed)
+
+
+class RouteStatsByDirection:
+    """``stats_by_direction`` of a result that holds ``route_stats``."""
+
+    def stats_by_direction(self) -> dict[str, list[RouteStats]]:
+        out: dict[str, list[RouteStats]] = {}
+        for s in self.route_stats:
+            out.setdefault(s.direction, []).append(s)
+        return out
+
+
 @dataclass
-class StudyResult:
+class StudyResult(RouteStatsByDirection):
     """All artefacts of one study run."""
 
     config: StudyConfig
@@ -132,11 +245,6 @@ class StudyResult:
             for i in self.kept_transitions
         ]
 
-    def stats_by_direction(self) -> dict[str, list[RouteStats]]:
-        out: dict[str, list[RouteStats]] = {}
-        for s in self.route_stats:
-            out.setdefault(s.direction, []).append(s)
-        return out
 
 
 class OuluStudy:
@@ -288,73 +396,29 @@ class OuluStudy:
         # Fold outcomes back in transition order (chunks may have run in
         # any order on any worker; index order restores serial layout).
         outcomes.sort(key=lambda outcome: outcome.index)
+        fold = MatchFold(config.grid, quarantine)
         matched: dict[int, MatchedRoute] = {}
-        kept: list[int] = []
-        post_per_car: dict[int, int] = {}
-        journal = get_journal()
         for outcome in outcomes:
-            transition = extraction.transitions[outcome.index]
-            if journal.enabled:
-                # Per-transition match provenance: latency and route
-                # source travel back on the outcome, so the lineage
-                # stream is identical for serial and parallel runs.
-                journal.emit(
-                    "lineage",
-                    unit="transition",
-                    transition_index=outcome.index,
-                    segment_id=transition.segment.segment_id,
-                    car_id=transition.segment.car_id,
-                    direction=transition.direction,
-                    matched=outcome.route is not None,
-                    kept=bool(outcome.kept),
-                    match_seconds=round(outcome.elapsed_s, 6),
-                    route_source=outcome.route_source,
-                    quarantined=outcome.error is not None,
-                )
-            if outcome.error is not None:
-                quarantine.add(outcome.error)
-            if outcome.route is None:
-                transition.post_filtered_ok = False
-                continue
-            matched[outcome.index] = outcome.route
-            transition.post_filtered_ok = outcome.kept
-            if outcome.kept:
-                kept.append(outcome.index)
-                post_per_car[transition.segment.car_id] = (
-                    post_per_car.get(transition.segment.car_id, 0) + 1
-                )
+            if outcome.route is not None:
+                matched[outcome.index] = outcome.route
+            fold.add_outcome(extraction.transitions[outcome.index], outcome)
         _log.info(
             "matching complete",
             extra={"transitions": len(extraction.transitions),
-                   "matched": len(matched), "kept": len(kept),
+                   "matched": len(matched), "kept": len(fold.kept),
                    "quarantined": len(quarantine)},
         )
         # Degraded-mode verdict: the run is only as good as its error
         # rate.  Units = trips ingested + transitions matched (the two
         # guarded populations); ErrorRateExceeded fails the run here,
         # after every survivor has been accounted for.
-        quarantine.check(len(fleet) + len(extraction.transitions))
-        funnel = [
-            FunnelRow(
-                car_id=row.car_id,
-                total_segments=row.total_segments,
-                filtered_cleaned=row.filtered_cleaned,
-                transitions_total=row.transitions_total,
-                within_centre=row.within_centre,
-                post_filtered=post_per_car.get(row.car_id, 0),
-            )
-            for row in extraction.funnel
-        ]
+        quarantine.check(len(fleet) + fold.transitions)
 
         # Table 4 statistics and the analysis grid over matched point speeds.
-        route_stats: list[RouteStats] = []
-        grid = GridAccumulator(config.grid)
-        speeds: list[float] = []
-        cells: list = []
         with span("features"):
             if planner is not None:
                 stats_by_index = planner.features_stage(
-                    kept, extraction.transitions, matched,
+                    fold.kept, extraction.transitions, matched,
                     lambda t, r: transition_route_stats(
                         t, r, city.graph, city.map_db
                     ),
@@ -365,26 +429,20 @@ class OuluStudy:
                         extraction.transitions[i], matched[i],
                         city.graph, city.map_db,
                     )
-                    for i in kept
+                    for i in fold.kept
                 }
             # The grid always replays from the matched points — cached or
             # fresh — in kept order; Welford accumulation is order-exact,
             # so the Table 5 grid is identical warm, cold, or store-off.
-            for i in kept:
-                route_stats.append(stats_by_index[i])
-                for m in matched[i].matched:
-                    key = grid.add_point(m.snapped_xy, m.point.speed_kmh)
-                    speeds.append(m.point.speed_kmh)
-                    cells.append(key)
+            for i in fold.kept:
+                fold.add_route(stats_by_index[i], matched[i])
 
             cell_features = cell_feature_counts(
-                config.grid, city.map_db, city.graph, list(grid.cells())
+                config.grid, city.map_db, city.graph, list(fold.grid.cells())
             )
 
-        mixed: MixedModelResult | None = None
         with span("mixed_model"):
-            if len(set(cells)) >= 3 and len(speeds) >= 10:
-                mixed = RandomInterceptModel().fit(speeds, cells)
+            mixed = fold.mixed_model()
 
         return StudyResult(
             config=config,
@@ -394,10 +452,10 @@ class OuluStudy:
             clean=clean,
             extraction=extraction,
             matched=matched,
-            kept_transitions=kept,
-            route_stats=route_stats,
-            grid=grid,
+            kept_transitions=fold.kept,
+            route_stats=fold.route_stats,
+            grid=fold.grid,
             cell_features=cell_features,
             mixed=mixed,
-            funnel=funnel,
+            funnel=fold.funnel(extraction.funnel),
         )

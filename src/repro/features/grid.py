@@ -75,6 +75,12 @@ class GridAccumulator:
     def add_point(self, xy: Point, speed_kmh: float) -> CellKey:
         """Add one measured point speed; returns its cell."""
         key = self.spec.cell_of(xy)
+        self.add(key, speed_kmh)
+        return key
+
+    def add(self, key: CellKey, speed_kmh: float) -> None:
+        """Add one point speed to a known cell (replaying ``add_point``s
+        in order rebuilds the same Welford partials and cell order)."""
         stats = self._cells.get(key)
         if stats is None:
             stats = CellStats()
@@ -82,7 +88,6 @@ class GridAccumulator:
             self._speeds[key] = []
         stats.add(speed_kmh)
         self._speeds[key].append(speed_kmh)
-        return key
 
     def cells(self) -> dict[CellKey, CellStats]:
         """All cells that received at least one measurement."""

@@ -149,15 +149,6 @@ class ThickLine:
         return f"ThickLine({self.line!r}, half_width={self.half_width:.1f})"
 
 
-def capsule_distance(line: LineString, p: Point) -> float:
-    """Signed distance from ``p`` to a capsule around ``line`` of width 0.
-
-    Positive outside the axis; provided as a convenience for callers that
-    want to build their own containment thresholds.
-    """
-    return line.distance_to(p)
-
-
 def convex_hull(points: Iterable[Point]) -> list[Point]:
     """Andrew's monotone-chain convex hull (counter-clockwise)."""
     pts = sorted(set((float(x), float(y)) for x, y in points))

@@ -32,7 +32,6 @@ from repro.matching.evaluate import (
 from repro.matching.gapfill import connect_matches
 from repro.matching.hmm import HmmConfig, HmmMatcher
 from repro.matching.incremental import (
-    STATE_SCHEMA_VERSION,
     IncrementalConfig,
     IncrementalMatcher,
     MatcherState,
@@ -71,7 +70,6 @@ __all__ = [
     "MatchedPoint",
     "MatchedRoute",
     "MatcherState",
-    "STATE_SCHEMA_VERSION",
     "candidates_for_point",
     "candidates_for_points",
     "connect_matches",

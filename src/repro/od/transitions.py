@@ -99,6 +99,97 @@ class SegmentExtraction:
     transition: Transition | None = None
 
 
+#: Per-car funnel stages 1-4, each with its fleet-total counter.
+_FUNNEL_STAGES = {
+    "total": "od.segments_total",
+    "filtered": "od.filtered_cleaned",
+    "transitions": "od.transitions_total",
+    "centre": "od.within_centre",
+}
+
+
+class FunnelFold:
+    """Per-segment accounting behind Table 3's stages 1-4.
+
+    The one fold behind :meth:`TransitionExtractor.extract` (a whole
+    fleet's segments) and the streaming service (one closed trip's
+    segments at a time).  Each :meth:`add` takes a segment's
+    :class:`SegmentExtraction` as its caller computed it, counts it per
+    car and emits the segment's lineage.
+    """
+
+    def __init__(self) -> None:
+        self.per_car: dict[int, dict[str, int]] = {}
+
+    def add(self, seg: TripSegment, extraction: SegmentExtraction) -> Transition | None:
+        """Fold one segment; returns its transition when it stays within
+        the centre (the ones that go on to map matching)."""
+        stats = self.per_car.setdefault(
+            extraction.car_id, dict.fromkeys(_FUNNEL_STAGES, 0)
+        )
+        stats["total"] += 1
+        transition = extraction.transition
+        journal = get_journal()
+        if journal.enabled:
+            # Funnel stages 2-4 provenance per segment: did it cross a
+            # gate, which studied pair did it form, did it stay inside
+            # the centre — folded in segment order, so the lineage
+            # stream is identical for batch, stream and warm store runs.
+            journal.emit(
+                "lineage",
+                unit="segment",
+                segment_id=seg.segment_id,
+                car_id=extraction.car_id,
+                gate_crossed=extraction.crossed,
+                direction=transition.direction if transition else None,
+                within_centre=bool(transition.within_centre)
+                if transition
+                else False,
+            )
+        if not extraction.crossed:
+            return None
+        stats["filtered"] += 1
+        if transition is None:
+            return None
+        stats["transitions"] += 1
+        if not transition.within_centre:
+            return None
+        stats["centre"] += 1
+        return transition
+
+    def rows(self) -> list[FunnelRow]:
+        """Table 3 rows per car; the post-filter column holds the
+        within-centre count until the match fold refines it."""
+        return [
+            FunnelRow(
+                car_id=car,
+                total_segments=s["total"],
+                filtered_cleaned=s["filtered"],
+                transitions_total=s["transitions"],
+                within_centre=s["centre"],
+                post_filtered=s["centre"],
+            )
+            for car, s in sorted(self.per_car.items())
+        ]
+
+    def publish(self) -> dict[str, int]:
+        """Add the fleet totals to the ``od.*`` counters; returns them."""
+        totals = {
+            name: sum(s[stage] for s in self.per_car.values())
+            for stage, name in _FUNNEL_STAGES.items()
+        }
+        registry = get_registry()
+        for name, value in totals.items():
+            registry.counter(name).inc(value)
+        return totals
+
+    def to_payload(self) -> dict:
+        return {"per_car": [[car, stats] for car, stats in self.per_car.items()]}
+
+    def restore(self, payload: dict) -> None:
+        self.per_car = {car: dict(stats) for car, stats in payload["per_car"]}
+
+
 @dataclass
 class ExtractionResult:
     """Everything the extractor produces for a fleet."""
@@ -183,11 +274,10 @@ class TransitionExtractor:
     ) -> ExtractionResult:
         """Extract transitions from cleaned segments.
 
-        ``to_xy`` converts a route point to plane coordinates.  Funnel rows
-        carry stage counts per car; the post-filter column is left at the
-        within-centre count until :func:`post_filter_transition` results
-        are folded in by the caller (see
-        :meth:`repro.experiments.study.OuluStudy.run`).
+        ``to_xy`` converts a route point to plane coordinates.  The
+        segments go through one :class:`FunnelFold`; its rows leave the
+        post-filter column at the within-centre count until the match
+        fold refines it (:meth:`repro.experiments.study.MatchFold.funnel`).
 
         ``extractions`` optionally supplies precomputed outcomes aligned
         with ``segments`` (the shard store's delta path) — the funnel fold
@@ -195,62 +285,14 @@ class TransitionExtractor:
         """
         if extractions is None:
             extractions = self.compute_units(segments, to_xy)
-        per_car: dict[int, dict[str, int]] = {}
-        transitions: list[Transition] = []
-        journal = get_journal()
-        for seg, extraction in zip(segments, extractions):
-            stats = per_car.setdefault(
-                extraction.car_id,
-                {"total": 0, "filtered": 0, "transitions": 0, "centre": 0},
-            )
-            stats["total"] += 1
-            transition = extraction.transition
-            if journal.enabled:
-                # Funnel stages 2-4 provenance per segment: did it cross a
-                # gate, which studied pair did it form, did it stay inside
-                # the centre — folded in segment order, so the lineage
-                # stream is identical for cold and warm store runs.
-                journal.emit(
-                    "lineage",
-                    unit="segment",
-                    segment_id=seg.segment_id,
-                    car_id=extraction.car_id,
-                    gate_crossed=extraction.crossed,
-                    direction=transition.direction if transition else None,
-                    within_centre=bool(transition.within_centre)
-                    if transition
-                    else False,
-                )
-            if not extraction.crossed:
-                continue
-            stats["filtered"] += 1
-            if transition is None:
-                continue
-            stats["transitions"] += 1
-            if transition.within_centre:
-                stats["centre"] += 1
-                transitions.append(transition)
-        funnel = [
-            FunnelRow(
-                car_id=car,
-                total_segments=s["total"],
-                filtered_cleaned=s["filtered"],
-                transitions_total=s["transitions"],
-                within_centre=s["centre"],
-                post_filtered=s["centre"],  # refined by the post-filter stage
-            )
-            for car, s in sorted(per_car.items())
+        fold = FunnelFold()
+        transitions = [
+            transition
+            for transition in map(fold.add, segments, extractions)
+            if transition is not None
         ]
-        # Mirror the fleet-level Table 3 funnel into the metrics registry.
-        registry = get_registry()
-        totals = {
-            "od.segments_total": sum(r.total_segments for r in funnel),
-            "od.filtered_cleaned": sum(r.filtered_cleaned for r in funnel),
-            "od.transitions_total": sum(r.transitions_total for r in funnel),
-            "od.within_centre": sum(r.within_centre for r in funnel),
-        }
-        for name, value in totals.items():
-            registry.counter(name).inc(value)
+        funnel = fold.rows()
+        totals = fold.publish()
         _log.info(
             "transition extraction complete",
             extra={**{k.split(".")[1]: v for k, v in totals.items()},

@@ -1,12 +1,12 @@
 """Streaming micro-batch ingestion (``repro serve``).
 
 Turns the batch study pipeline into a long-running service: route points
-arrive in order, per-taxi state is held incrementally (open trip buffer,
-Table 2 rule previews, gate-crossing detection, a live serialisable
-:class:`~repro.matching.MatcherState`), and the grid/OD/funnel artefacts
-are folded online with bounded memory.  A replayed fleet produces
-artefacts byte-identical to ``repro study`` on the same input — enforced
-by the differential suites in ``tests/test_stream_equivalence.py``.
+arrive in order, each taxi's open trip is buffered, and every closed
+trip runs through the study's own stage functions and folds, so the
+cleaning report, funnel and grid artefacts accumulate online with
+bounded memory.  A replayed fleet produces artefacts byte-identical to
+``repro study`` on the same input — enforced by the differential suites
+in ``tests/test_stream_equivalence.py``.
 
 * :mod:`repro.stream.sources` — replay / csv-tail / fifo row sources;
 * :mod:`repro.stream.service` — the micro-batch service and its result;

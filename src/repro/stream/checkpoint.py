@@ -1,16 +1,17 @@
 """Checkpoint persistence for the streaming service.
 
-A checkpoint is one JSON payload — matcher states, open trip buffers,
-window partials, folded aggregates and the error ledger — persisted
-content-addressed through the PR 7 shard store codecs: the payload's
-canonical-JSON hash is the artefact key, so identical states dedupe and
-a torn write can never be mistaken for a valid checkpoint.  A small
-``CHECKPOINT`` pointer file (written atomically via tmp+rename) names
-the latest key; resume reads the pointer, loads the artefact, and the
-service skips every ingested row below ``rows_ingested``.
+A checkpoint is one JSON payload — ingest counters, open and pending
+trip buffers, window partials, the error ledger and each fold's own
+payload — persisted content-addressed through the shard store: the
+payload's canonical-JSON hash is the artefact key, so identical states
+dedupe and a torn write can never be mistaken for a valid checkpoint.
+A small ``CHECKPOINT`` pointer file (written atomically via tmp+rename)
+names the latest key; resume reads the pointer, loads the artefact, and
+the service skips every ingested row below ``rows_ingested``.
 
 Floats survive exactly: canonical JSON uses Python ``repr`` floats both
-ways, so a resumed Welford fold continues from bit-identical partials.
+ways, and the match fold stores each matched speed once, in add order,
+so a resumed Welford fold replays to bit-identical partials.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.obs import get_journal, get_registry
 from repro.store.shards import ShardStore
 
 #: Payload layout version; resume rejects anything else loudly.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Name of the latest-checkpoint pointer file inside the checkpoint dir.
 POINTER_NAME = "CHECKPOINT"
@@ -104,5 +105,10 @@ class CheckpointStore:
 
 
 def load_checkpoint(root: str | Path) -> dict | None:
-    """Convenience: the latest payload under ``root`` (None when fresh)."""
+    """The latest payload under ``root`` (None when fresh).
+
+    A fresh ``root`` is left as it was: no store directory is created.
+    """
+    if not (Path(root) / POINTER_NAME).exists():
+        return None
     return CheckpointStore(root).latest()

@@ -51,11 +51,7 @@ def write_points_csv(fleet: FleetData, path: str | Path) -> int:
 
 def parse_point_row(row: dict) -> tuple[RoutePoint, int]:
     """Parse one CSV row strictly into ``(point, car_id)``; raises
-    ValueError on any damage.
-
-    Shared by the batch reader below and the streaming ingest
-    (:mod:`repro.stream.service`), so a row is judged malformed by
-    exactly one definition on both paths.
+    ValueError on any damage (the parse step of :func:`ingest_row`).
     """
     missing = [name for name in ("car_id", *_POINT_FIELDS)
                if row.get(name) in (None, "")]
@@ -80,16 +76,72 @@ def parse_point_row(row: dict) -> tuple[RoutePoint, int]:
     return point, car_id
 
 
-#: Backwards-compatible alias (pre-streaming name).
-_parse_point = parse_point_row
-
-
 def row_trip_id(row: dict) -> int | None:
     """Best-effort trip id of a damaged row (for the error record)."""
     try:
         return int(row.get("trip_id") or "")
     except (TypeError, ValueError):
         return None
+
+
+def ingest_row(
+    index: int, row: dict, quarantine: Quarantine
+) -> tuple[RoutePoint, int] | TripError:
+    """Judge one raw CSV row: ``(point, car_id)``, or its quarantine record.
+
+    The one per-row rule of the batch reader below and the streaming
+    ingest (:mod:`repro.stream.service`): an active fault plan may
+    truncate the input here (a ``truncated_file`` record, after which
+    the caller stops reading) or corrupt the row; a row that fails
+    :func:`parse_point_row` is counted on ``io.rows_quarantined``.  The
+    record is added to ``quarantine`` before it is returned.
+    """
+    if _injector.truncate_at(index):
+        error = TripError(
+            stage="io", kind="truncated_file",
+            message=f"input truncated before row {index}",
+            row=index, fault_tag="injected:io",
+        )
+        quarantine.add(error)
+        return error
+    fault_tag = None
+    corrupted = _injector.corrupt_row(index, row)
+    if corrupted is not None:
+        row = corrupted
+        fault_tag = "injected:io"
+    try:
+        return parse_point_row(row)
+    except ValueError as exc:
+        get_registry().counter("io.rows_quarantined").inc()
+        error = TripError(
+            stage="io", kind=str(exc).split(":", 1)[0],
+            message=str(exc), trip_id=row_trip_id(row), row=index,
+            fault_tag=fault_tag,
+        )
+        quarantine.add(error)
+        return error
+
+
+def empty_trip_error(trip_id: int) -> TripError:
+    """The record of a trip whose every row was malformed."""
+    return TripError(
+        stage="io", kind="empty_trip",
+        message=f"trip {trip_id}: every row was malformed",
+        trip_id=trip_id,
+    )
+
+
+def non_monotonic_ids_error(trip_id: int, points: list[RoutePoint]) -> TripError | None:
+    """The advisory record of a trip whose point ids regress, else None."""
+    ids = [p.point_id for p in points]
+    if all(a < b for a, b in zip(ids, ids[1:])):
+        return None
+    return TripError(
+        stage="io", kind="non_monotonic_ids",
+        message=f"trip {trip_id}: point ids not strictly "
+                "increasing (kept; ordering repair applies)",
+        trip_id=trip_id,
+    )
 
 
 def read_points_csv(
@@ -106,57 +158,29 @@ def read_points_csv(
     """
     path = Path(path)
     quarantine = quarantine if quarantine is not None else Quarantine()
-    registry = get_registry()
     trips: dict[int, Trip] = {}
     damaged_trip_ids: set[int] = set()
     with path.open(newline="", encoding="utf-8", errors="replace") as f:
-        reader = csv.DictReader(f)
-        for index, row in enumerate(reader):
-            if _injector.truncate_at(index):
-                quarantine.add(TripError(
-                    stage="io", kind="truncated_file",
-                    message=f"input truncated before row {index}",
-                    row=index, fault_tag="injected:io",
-                ))
-                break
-            fault_tag = None
-            corrupted = _injector.corrupt_row(index, row)
-            if corrupted is not None:
-                row = corrupted
-                fault_tag = "injected:io"
-            try:
-                point, car_id = parse_point_row(row)
-            except ValueError as exc:
-                registry.counter("io.rows_quarantined").inc()
-                trip_id = row_trip_id(row)
-                if trip_id is not None:
-                    damaged_trip_ids.add(trip_id)
-                quarantine.add(TripError(
-                    stage="io", kind=str(exc).split(":", 1)[0],
-                    message=str(exc), trip_id=trip_id, row=index,
-                    fault_tag=fault_tag,
-                ))
+        for index, row in enumerate(csv.DictReader(f)):
+            parsed = ingest_row(index, row, quarantine)
+            if isinstance(parsed, TripError):
+                if parsed.kind == "truncated_file":
+                    break
+                if parsed.trip_id is not None:
+                    damaged_trip_ids.add(parsed.trip_id)
                 continue
+            point, car_id = parsed
             trip = trips.get(point.trip_id)
             if trip is None:
                 trip = Trip(trip_id=point.trip_id, car_id=car_id)
                 trips[point.trip_id] = trip
             trip.points.append(point)
     for trip_id in sorted(damaged_trip_ids - set(trips)):
-        quarantine.add(TripError(
-            stage="io", kind="empty_trip",
-            message=f"trip {trip_id}: every row was malformed",
-            trip_id=trip_id,
-        ))
+        quarantine.add(empty_trip_error(trip_id))
     for trip in trips.values():
-        ids = [p.point_id for p in trip.points]
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            quarantine.add(TripError(
-                stage="io", kind="non_monotonic_ids",
-                message=f"trip {trip.trip_id}: point ids not strictly "
-                        "increasing (kept; ordering repair applies)",
-                trip_id=trip.trip_id,
-            ))
+        error = non_monotonic_ids_error(trip.trip_id, trip.points)
+        if error is not None:
+            quarantine.add(error)
     if quarantine.errors:
         _log.warning(
             "rows quarantined during read",

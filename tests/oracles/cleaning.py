@@ -3,7 +3,8 @@
 :func:`repair_ordering` sorts the points with Python's stable ``sorted``
 and walks each candidate ordering with the scalar haversine;
 :func:`segment_trip` evaluates the stop rules gap by gap through
-:func:`repro.cleaning.segmentation._stop_rule`.  Signatures match the
+:func:`_stop_rule`, the one-gap form of the production mask kernel
+``repro.cleaning.segmentation._stop_rules``.  Signatures match the
 production kernels, so either can be monkeypatched in for the other.
 :func:`_realign` rebuilds each point through ``dataclasses.replace``.
 """
@@ -17,8 +18,8 @@ from repro.cleaning.segmentation import (
     SegmentationConfig,
     SegmentationReport,
     TripSegment,
-    _stop_rule,
 )
+from repro.geo.distance import haversine_m
 from repro.traces.model import RoutePoint, Trip, trip_distance_m
 
 
@@ -54,6 +55,27 @@ def _realign(sequence: list[RoutePoint]) -> list[RoutePoint]:
         replace(p, point_id=pid, time_s=ts)
         for p, pid, ts in zip(sequence, ids, times)
     ]
+
+
+def _stop_rule(
+    a: RoutePoint, b: RoutePoint, config: SegmentationConfig, window_1_s: float
+) -> int:
+    """Which Table 2 rule (1-4) declares the gap a->b a stop; 0 for none."""
+    dt = b.time_s - a.time_s
+    dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
+    if dt >= window_1_s and dist <= config.rule1_epsilon_m:
+        return 1
+    if dt > config.rule2_window_s and dist < config.rule2_distance_m:
+        return 2
+    if dt >= config.rule3_min_window_s and dist / dt < config.rule3_speed_mps:
+        return 3
+    if (
+        dt > config.rule4_window_s
+        and dist < config.rule4_distance_m
+        and (dt > 0 and dist / dt >= config.rule3_speed_mps)
+    ):
+        return 4
+    return 0
 
 
 def _split_at_stops(

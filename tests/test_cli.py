@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.stream.checkpoint as checkpoint_module
 from repro.cli import main
+from repro.stream import CheckpointStore
 
 
 class TestSimulate:
@@ -159,6 +161,25 @@ class TestBadFlagValues:
          "repro simulate: need at least one taxi and one day"),
         (["study", "--days", "2", "--routing-engine", "ch"],
          "repro: error: unrecognized arguments: --routing-engine ch"),
+        (["serve", "--input", "POINTS", "--window", "0"],
+         "repro serve: window_s must be positive and finite"),
+        (["serve", "--input", "POINTS", "--window", "nan"],
+         "repro serve: window_s must be positive and finite"),
+        (["serve", "--input", "POINTS", "--window", "-3600"],
+         "repro serve: window_s must be positive and finite"),
+        (["serve", "--input", "POINTS", "--trip-timeout", "-5"],
+         "repro serve: trip_timeout_s must be positive and finite"),
+        (["serve", "--input", "POINTS", "--trip-timeout", "nan"],
+         "repro serve: trip_timeout_s must be positive and finite"),
+        (["serve", "--input", "POINTS", "--checkpoint-every", "-3"],
+         "repro serve: checkpoint_every must be at least 0"),
+        (["serve", "--input", "POINTS", "--checkpoint-dir", "CK"],
+         "repro serve: checkpoint was written under a different "
+         "stream/study configuration; refusing to resume"),
+        (["serve", "--input", "POINTS", "--checkpoint-dir", "OLD_CK"],
+         "repro serve: checkpoint schema 1 != "
+         f"{checkpoint_module.CHECKPOINT_SCHEMA_VERSION} "
+         "(incompatible checkpoint dir)"),
     ])
     def test_reported_in_one_line_with_exit_2(
         self, argv, message, tmp_path, monkeypatch, capsys
@@ -173,12 +194,15 @@ class TestBadFlagValues:
         ["serve", "--input", "POINTS", "--chunk-size", "4"],
         ["study", "--days", "2", "--chunk-size", "4"],
         ["report", "--days", "2", "--chunk-size", "4"],
+        ["serve", "--input", "POINTS", "--live-match"],
     ])
     def test_removed_flag_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         """Flags that chose nothing (cleaning never routes or pools, the
-        stream folds serially, chunking never changed an output) are
-        gone: passing one is a usage error, not a silent no-op."""
-        message = f"repro: error: unrecognized arguments: {' '.join(argv[-2:])}"
+        stream folds serially, chunking never changed an output, the
+        live matcher reached no artefact) are gone: passing one is a
+        usage error, not a silent no-op."""
+        flag = max(i for i, arg in enumerate(argv) if arg.startswith("--"))
+        message = f"repro: error: unrecognized arguments: {' '.join(argv[flag:])}"
         self._check_exit_2(argv, message, tmp_path, monkeypatch, capsys)
 
     @staticmethod
@@ -188,6 +212,15 @@ class TestBadFlagValues:
             "car_id,point_id,trip_id,lat,lon,time_s,speed_kmh,fuel_ml\n"
         )
         (tmp_path / "PLAN").write_text('{"kill_chunk": {"mach": 0}}')
+        # A checkpoint written under another configuration, and one of an
+        # older checkpoint schema: resuming from either is refused.
+        checkpoint = {"fingerprint": "another configuration",
+                      "checkpoint_seq": 1, "rows_ingested": 0}
+        CheckpointStore(tmp_path / "CK").write(checkpoint)
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_module, "CHECKPOINT_SCHEMA_VERSION", 1)
+            CheckpointStore(tmp_path / "OLD_CK").write(checkpoint)
+        before = sorted(tmp_path.rglob("*"))
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
@@ -197,4 +230,4 @@ class TestBadFlagValues:
         assert last == message
         # Only argparse prints anything (its usage text) before the line.
         assert all(line.startswith(("usage:", " ")) for line in usage)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["PLAN", "POINTS"]
+        assert sorted(tmp_path.rglob("*")) == before

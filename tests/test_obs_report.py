@@ -270,6 +270,27 @@ def test_journals_pass_the_validator(journaled_pair):
         assert validate_journal(out_dir / "events.jsonl") == []
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("unit", "segmnt", "lineage unit 'segmnt' is not trip, segment or transition"),
+    ("trip_id", "7", "trip lineage trip_id '7' is not an integer"),
+    ("disposition", "dropped",
+     "trip lineage disposition 'dropped' is not cleaned or quarantined"),
+])
+def test_validator_flags_a_malformed_lineage_event(
+    journaled_pair, tmp_path, field, value, problem
+):
+    serial_dir, *_ = journaled_pair
+    events = read_journal(serial_dir / "events.jsonl")
+    index = next(
+        i for i, e in enumerate(events)
+        if e["kind"] == "lineage" and e["unit"] == "trip"
+    )
+    events[index][field] = value
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    assert validate_journal(path) == [f"{path}:{index + 1}: {problem}"]
+
+
 def test_load_run_pairs_journal_with_metrics(journaled_pair):
     serial_dir, *_ = journaled_pair
     events, metrics = load_run(serial_dir / "events.jsonl")

@@ -8,19 +8,22 @@ must be **bit-identical** at any micro-batch size.  Fingerprints render
 floats as ``float.hex`` so "close" can never pass for "equal".
 
 Hypothesis drives the micro-batch size; the pinned examples are the
-ISSUE's contract points (1, 7, 64, whole-file).  One case streams under
-a seeded chaos plan (same injections on both sides), one runs with the
-live matcher enabled (observational: artefacts must not move), and one
-follows a growing CSV in ``tail`` mode while a writer appends.
+contract points (1, 7, 64, whole-file).  One case streams under a
+seeded chaos plan (same injections on both sides), one follows a
+growing CSV in ``tail`` mode while a writer appends, and one compares
+the per-unit lineage records both schedules emit through their shared
+folds.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -28,6 +31,8 @@ from hypothesis import strategies as st
 
 from repro.experiments import OuluStudy, StudyConfig
 from repro.faults import FaultPlan, Quarantine, inject_faults
+from repro.obs import BufferJournal, use_journal
+from repro.obs.journal import lineage_records
 from repro.stream import (
     StreamConfig,
     StreamService,
@@ -46,6 +51,29 @@ def run_stream(config, path, **overrides):
     kwargs = dict(study=config, input=str(path), mode="replay", batch_size=64)
     kwargs.update(overrides)
     return StreamService(StreamConfig(**kwargs)).run()
+
+
+def chaos_config(config, chaos_seed):
+    """The seeded io/clean/match fault plan and the study config under it."""
+    plan = FaultPlan(
+        seed=chaos_seed,
+        corrupt_row_rate=0.005,
+        clean_error_rate=0.02,
+        match_error_rate=0.02,
+    )
+    return plan, type(config)(
+        fleet=config.fleet, faults=plan, robustness=config.robustness
+    )
+
+
+def lineage_multiset(events: list[dict]) -> Counter:
+    """Lineage records as a multiset, without the fields that differ
+    between runs (time, sequence, run id, match latency)."""
+    volatile = ("ts", "i", "run_id", "match_seconds")
+    return Counter(
+        json.dumps({k: v for k, v in e.items() if k not in volatile}, sort_keys=True)
+        for e in lineage_records(events)
+    )
 
 
 def assert_same_artefacts(got: dict, want: dict) -> None:
@@ -68,12 +96,6 @@ class TestReplayEquivalence:
         config, path, baseline = stream_case
         result = run_stream(config, path, batch_size=batch_size)
         assert_same_artefacts(stream_fingerprint(result), baseline)
-
-    def test_live_matching_is_observational(self, stream_case):
-        config, path, baseline = stream_case
-        result = run_stream(config, path, batch_size=32, live_match=True)
-        assert_same_artefacts(stream_fingerprint(result), baseline)
-        assert result.metrics["counters"]["stream.live_points"] > 0
 
     def test_stream_counters_account_every_row(self, stream_case):
         config, path, baseline = stream_case
@@ -103,15 +125,7 @@ class TestChaosEquivalence:
         sides: fault keys are row indices, trip ids and transition
         indices, all of which the stream preserves."""
         config, path, __ = stream_case
-        plan = FaultPlan(
-            seed=chaos_seed,
-            corrupt_row_rate=0.005,
-            clean_error_rate=0.02,
-            match_error_rate=0.02,
-        )
-        faulty = type(config)(
-            fleet=config.fleet, faults=plan, robustness=config.robustness
-        )
+        plan, faulty = chaos_config(config, chaos_seed)
         quarantine = Quarantine()
         with inject_faults(plan):  # the stream's reader sees the plan too
             injected = read_points_csv(path, quarantine=quarantine)
@@ -121,6 +135,40 @@ class TestChaosEquivalence:
         assert_same_artefacts(stream_fingerprint(result), baseline)
         assert any(e.fault_tag for e in result.errors), \
             "the seeded plan must inject at least one fault"
+
+
+class TestSharedFold:
+    """The stream folds each closed trip through the batch study's own
+    folds, so both schedules emit the same lineage record for every
+    trip, segment and transition — in a different order, since the
+    stream interleaves the stages trip by trip."""
+
+    def test_stream_lineage_equals_batch(self, stream_case):
+        config, path, __ = stream_case
+        batch_events: list[dict] = []
+        stream_events: list[dict] = []
+        with use_journal(BufferJournal(batch_events)):
+            OuluStudy(config).run(fleet=read_points_csv(path))
+        with use_journal(BufferJournal(stream_events)):
+            run_stream(config, path, batch_size=64)
+        want = lineage_multiset(batch_events)
+        assert {json.loads(r)["unit"] for r in want} == {
+            "trip", "segment", "transition",
+        }
+        assert lineage_multiset(stream_events) == want
+
+    def test_stream_lineage_equals_batch_under_chaos(self, stream_case, chaos_seed):
+        config, path, __ = stream_case
+        plan, faulty = chaos_config(config, chaos_seed)
+        batch_events: list[dict] = []
+        stream_events: list[dict] = []
+        with inject_faults(plan):  # the stream's reader sees the plan too
+            injected = read_points_csv(path)
+        with use_journal(BufferJournal(batch_events)):
+            OuluStudy(faulty).run(fleet=injected)
+        with use_journal(BufferJournal(stream_events)):
+            run_stream(faulty, path, batch_size=17)
+        assert lineage_multiset(stream_events) == lineage_multiset(batch_events)
 
 
 class TestTailMode:

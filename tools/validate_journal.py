@@ -7,7 +7,10 @@ checks that every line the run produced is machine-consumable:
   ``run_start`` header carrying ``journal_schema``/``run_id``; every
   ``kind`` is one of :data:`repro.obs.journal.EVENT_KINDS`; sequence
   numbers ``i`` increase strictly; every ``span_close`` closes a span
-  that was opened; the file ends with ``run_end``.  (The *read* path
+  that was opened; every ``lineage`` record names its unit (``trip``,
+  ``segment`` or ``transition``) with an integer id, and a trip's
+  ``disposition`` is ``cleaned`` or ``quarantined``; the file ends with
+  ``run_end``.  (The *read* path
   tolerates a truncated final line — a crashed run is still inspectable
   — but a run that claims success must produce a complete journal,
   which is what this validator enforces.)
@@ -37,6 +40,13 @@ from repro.obs.journal import EVENT_KINDS, JOURNAL_SCHEMA_VERSION  # noqa: E402
 
 #: Keys every JSON log line carries (see ``repro.obs.log.JsonFormatter``).
 LOG_KEYS = ("ts", "level", "logger", "event")
+
+#: Lineage unit -> the key carrying that unit's integer id.
+LINEAGE_IDS = {
+    "trip": "trip_id",
+    "segment": "segment_id",
+    "transition": "transition_index",
+}
 
 
 def validate_journal(path: Path) -> list[str]:
@@ -118,6 +128,10 @@ def validate_journal(path: Path) -> list[str]:
                     f"{path}:{index}: span_close for never-opened "
                     f"span {span_id!r}"
                 )
+        elif kind == "lineage":
+            problems.extend(
+                f"{path}:{index}: {problem}" for problem in _lineage_problems(event)
+            )
         elif kind == "stream.checkpoint":
             # Checkpoints carry their content key and a strictly
             # increasing sequence — resume provenance depends on both.
@@ -167,6 +181,23 @@ def validate_journal(path: Path) -> list[str]:
     for span_id, index in sorted(open_spans.items(), key=lambda kv: kv[1]):
         problems.append(f"{path}:{index}: span {span_id!r} never closed")
     return problems
+
+
+def _lineage_problems(event: dict) -> list[str]:
+    unit = event.get("unit")
+    if unit not in LINEAGE_IDS:
+        return [f"lineage unit {unit!r} is not trip, segment or transition"]
+    key = LINEAGE_IDS[unit]
+    unit_id = event.get(key)
+    # bool is an int subclass, but never an id.
+    if not isinstance(unit_id, int) or isinstance(unit_id, bool):
+        return [f"{unit} lineage {key} {unit_id!r} is not an integer"]
+    if unit == "trip" and event.get("disposition") not in ("cleaned", "quarantined"):
+        return [
+            f"trip lineage disposition {event.get('disposition')!r} is not "
+            "cleaned or quarantined"
+        ]
+    return []
 
 
 def validate_log(path: Path) -> list[str]:
