@@ -14,7 +14,6 @@ from repro.matching import HmmMatcher, IncrementalMatcher
 from repro.matching.candidates import candidates_for_points
 from repro.matching.hmm import _collect_transition_pairs
 from repro.matching.types import edge_entries, edge_exits, movement_directions
-from repro.roadnet.routing import RouteCache
 
 
 def _segments(bench_study, n):
@@ -100,7 +99,7 @@ def test_perf_hmm_matcher(benchmark, bench_study, hmm_decode_workload):
     graph, prepped = hmm_decode_workload
 
     def sweep():
-        matcher = HmmMatcher(graph, route_cache=RouteCache())
+        matcher = HmmMatcher(graph)
         for args in prepped:
             matcher._viterbi(*args)
 
@@ -112,7 +111,7 @@ def test_hmm_matcher_end_to_end_sanity(bench_study):
     """The full matcher still matches every bench segment."""
     city = bench_study.city
     segments = _segments(bench_study, 10)
-    matcher = HmmMatcher(city.graph, route_cache=RouteCache())
+    matcher = HmmMatcher(city.graph)
 
     def to_xy(p):
         return city.projector.to_xy(p.lat, p.lon)

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from repro.obs import get_registry
 from repro.od.gates import Gate
 from repro.roadnet.graph import RoadGraph
-from repro.roadnet.routing import RouteBatch, RouteCache
+from repro.roadnet.routing import RouteBatch
 from repro.traces.simulator import CustomerRun, Region
 
 
@@ -124,11 +124,7 @@ class GateDistanceMatrix:
         return rows
 
 
-def gate_distance_matrix(
-    graph: RoadGraph,
-    gates: list[Gate],
-    route_cache: RouteCache | None = None,
-) -> GateDistanceMatrix:
+def gate_distance_matrix(graph: RoadGraph, gates: list[Gate]) -> GateDistanceMatrix:
     """Route every gate-to-gate pair in one batched query.
 
     Each gate is anchored at the graph node nearest its road midpoint;
@@ -151,8 +147,7 @@ def gate_distance_matrix(
         for d in names
         if anchors[o] != anchors[d]
     ]
-    batch = RouteBatch(graph, weight="length", cache=route_cache)
-    resolved = batch.resolve(pairs)
+    resolved = RouteBatch(graph, weight="length").resolve(pairs)
     distances: dict[tuple[str, str], float] = {}
     for o in names:
         for d in names:

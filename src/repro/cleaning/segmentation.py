@@ -117,7 +117,10 @@ def _stop_rules(
     firing rule per gap is the first true mask, in rule order (the
     one-gap form is ``tests/oracles/cleaning.py::_stop_rule``).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Zero and subnormal gaps give inf or NaN speeds (divide, invalid,
+    # overflow).  Rules 3 and 4 read the speed only past their minimum
+    # windows, so such a speed never decides a rule.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         speed = dist / dt
     m1 = (dt >= window_1_s) & (dist <= config.rule1_epsilon_m)
     m2 = (dt > config.rule2_window_s) & (dist < config.rule2_distance_m)

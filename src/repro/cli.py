@@ -118,18 +118,11 @@ def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_flags(parser: argparse.ArgumentParser, workers: bool = True) -> None:
-    """Map-matching pool and route-cache flags (default: serial, identical
-    results); ``repro serve`` folds serially, so it gets no ``--workers``."""
-    if workers:
-        parser.add_argument(
-            "--workers", type=int, default=0, metavar="N",
-            help="map-match over N worker processes (default: serial)",
-        )
+def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
+    """Map-matching pool flag (default: serial, identical results)."""
     parser.add_argument(
-        "--route-cache", type=Path, default=None, metavar="FILE",
-        help="on-disk Dijkstra route cache to warm gap-filling from "
-             "(written back by serial runs only)",
+        "--workers", type=int, default=0, metavar="N",
+        help="map-match over N worker processes (default: serial)",
     )
 
 
@@ -188,11 +181,7 @@ def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
 
 
 def _executor_config(args: argparse.Namespace) -> ExecutorConfig:
-    route_cache = args.route_cache
-    return ExecutorConfig(
-        workers=getattr(args, "workers", 0),
-        route_cache_path=str(route_cache) if route_cache is not None else None,
-    )
+    return ExecutorConfig(workers=getattr(args, "workers", 0))
 
 
 class _UsageError(Exception):
@@ -304,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(a metrics.json is always written to --out)")
     _add_obs_flags(serve)
     _add_journal_flags(serve)
-    _add_executor_flags(serve, workers=False)
     _add_robustness_flags(serve)
 
     report = sub.add_parser("report", help="run a study and write REPORT.md")
@@ -619,7 +607,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         study = StudyConfig(
             fleet=FleetSpec(n_days=args.days, seed=args.seed),
             matcher=args.matcher,
-            executor=_executor_config(args),
             robustness=_robustness(args),
             faults=_fault_plan(args),
         )

@@ -44,12 +44,7 @@ from repro.parallel import (
     match_task,
     study_gates,
 )
-from repro.roadnet import (
-    CitySpec,
-    RouteCache,
-    SyntheticCity,
-    build_synthetic_oulu,
-)
+from repro.roadnet import CitySpec, SyntheticCity, build_synthetic_oulu
 from repro.stats import MixedModelResult, RandomInterceptModel
 from repro.store.planner import StudyPlanner
 from repro.store.shards import ShardStore, StoreConfig
@@ -67,8 +62,7 @@ class StudyConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     transition: TransitionConfig = field(default_factory=TransitionConfig)
     matcher: str = "incremental"          # or "hmm"
-    #: Map-matching pool and route cache; the default (workers=0) runs
-    #: fully serial.  Cleaning and gate extraction are always serial.
+    #: Map-matching pool; the default (workers=0) runs fully serial.  Cleaning and gate extraction are always serial.
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     #: Degraded-mode execution: failing trips/transitions quarantine into
     #: ``result.errors`` instead of aborting, and the run only fails when
@@ -89,12 +83,11 @@ class StudyConfig:
             raise ValueError("matcher must be 'incremental' or 'hmm'")
 
     def worker_payload(self) -> WorkerPayload:
-        """The context pool workers rebuild (city, matcher, route cache)."""
+        """The context pool workers rebuild (city, gates, matcher)."""
         return WorkerPayload(
             city_spec=self.city,
             transition_config=self.transition,
             matcher=self.matcher,
-            route_cache_path=self.executor.route_cache_path,
             robustness=self.robustness,
             fault_plan=self.faults,
         )
@@ -371,9 +364,8 @@ class OuluStudy:
             """Match the given tasks through the serial or pooled path."""
             if executor.parallel:
                 return executor.map_chunked("match", subset)
-            route_cache = RouteCache(path=config.executor.route_cache_path)
-            matcher = make_matcher(city.graph, config.matcher, route_cache)
-            computed = [
+            matcher = make_matcher(city.graph, config.matcher)
+            return [
                 match_task(
                     matcher, to_xy, extractor.gates_by_name,
                     config.transition, task,
@@ -381,9 +373,6 @@ class OuluStudy:
                 )
                 for task in subset
             ]
-            if config.executor.route_cache_path is not None:
-                route_cache.save()
-            return computed
 
         with span("match"):
             if planner is not None:

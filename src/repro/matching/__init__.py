@@ -45,17 +45,12 @@ from repro.matching.types import (
 )
 
 
-def make_matcher(
-    graph, kind: str, route_cache=None
-) -> IncrementalMatcher | HmmMatcher:
-    """The ``kind`` matcher (``"incremental"`` or ``"hmm"``) over ``graph``.
-
-    ``route_cache`` serves its shortest-path queries.
-    """
+def make_matcher(graph, kind: str) -> IncrementalMatcher | HmmMatcher:
+    """The ``kind`` matcher (``"incremental"`` or ``"hmm"``) over ``graph``."""
     if kind == "hmm":
-        return HmmMatcher(graph, route_cache=route_cache)
+        return HmmMatcher(graph)
     if kind == "incremental":
-        return IncrementalMatcher(graph, route_cache=route_cache)
+        return IncrementalMatcher(graph)
     raise ValueError(f"unknown matcher {kind!r}; choose 'incremental' or 'hmm'")
 
 

@@ -6,8 +6,9 @@ driven edge sequence: for every hop between distinct matched edges it
 evaluates all legal exit/entry endpoint combinations, routes the gap with
 Dijkstra, and picks the cheapest consistent traversal, honouring one-way
 directions throughout.  Each gap query goes through
-:func:`~repro.roadnet.routing.cached_shortest_path`, so a route cache
-shared across trips answers the gaps many trips drive.
+:func:`~repro.roadnet.routing.cached_shortest_path`, which reads the
+exit node's shortest-path tree: built by the first query from that node
+and shared by every later trip on the same graph.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from repro.matching.types import MatchedRoute, edge_entries, edge_exits
 from repro.obs import get_registry
 from repro.roadnet.graph import RoadEdge, RoadGraph
-from repro.roadnet.routing import RouteCache, cached_shortest_path
+from repro.roadnet.routing import cached_shortest_path
 
 
 @dataclass
@@ -63,13 +64,8 @@ def connect_matches(
     graph: RoadGraph,
     route: MatchedRoute,
     max_cost_m: float = 2_000.0,
-    route_cache: RouteCache | None = None,
 ) -> MatchedRoute:
-    """Fill the matched route's edge sequence in place and return it.
-
-    ``route_cache`` memoises the shortest-path sub-queries; it never
-    changes the resulting edge sequence (see :func:`cached_shortest_path`).
-    """
+    """Fill the matched route's edge sequence in place and return it."""
     registry = get_registry()
     registry.counter("matching.gapfill_calls").inc()
     runs = _compress(route)
@@ -102,9 +98,7 @@ def connect_matches(
                     cost = d1 + d2
                     candidate = (cost, exit1, entry2, (), ())
                 else:
-                    path = cached_shortest_path(
-                        graph, exit1, entry2, weight="length", cache=route_cache
-                    )
+                    path = cached_shortest_path(graph, exit1, entry2, weight="length")
                     if not path.found or path.cost > max_cost_m:
                         continue
                     candidate = (d1 + path.cost + d2, exit1, entry2, path.nodes, path.edges)

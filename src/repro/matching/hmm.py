@@ -11,8 +11,9 @@ transition matrices are NumPy arrays, the forward pass is a broadcast
 add plus per-layer ``argmax``, and every network distance the trip needs
 is resolved up front through one
 :meth:`~repro.roadnet.routing.RouteBatch.resolve_costs` call over the
-union of exit/entry endpoints (cache first, then one bounded
-multi-target Dijkstra per unique source).
+union of exit/entry endpoints, which reads each unique exit node's
+shortest-path tree (built once per graph) and keeps the costs within
+that node's transition cap.
 
 The result is bitwise-identical to a pure-Python forward pass running one
 capped Dijkstra per exit endpoint of every previous-layer candidate
@@ -77,11 +78,9 @@ class HmmMatcher:
         self,
         graph: RoadGraph,
         config: HmmConfig | None = None,
-        route_cache=None,
     ) -> None:
         self.graph = graph
         self.config = config or HmmConfig()
-        self.route_cache = route_cache
 
     def match(
         self,
@@ -160,7 +159,7 @@ class HmmMatcher:
             for i in range(n)
         ]
         route = MatchedRoute(segment_id=segment_id, car_id=car_id, matched=matched)
-        connect_matches(self.graph, route, route_cache=self.route_cache)
+        connect_matches(self.graph, route)
         return route
 
     def _viterbi(
@@ -174,9 +173,7 @@ class HmmMatcher:
         entries_per: list[list[list[int]]],
     ) -> tuple[list[int], list[float]]:
         """NumPy forward pass over batched network distances."""
-        costs = RouteBatch(
-            self.graph, "length", cache=self.route_cache
-        ).resolve_costs(pairs, source_caps)
+        costs = RouteBatch(self.graph, "length").resolve_costs(pairs, source_caps)
         # Dense cost table over the trip's unique exit/entry endpoints.
         src_index: dict[int, int] = {}
         tgt_index: dict[int, int] = {}

@@ -25,7 +25,6 @@ from repro.matching.gapfill import connect_matches
 from repro.matching.types import MatchedPoint, MatchedRoute, movement_directions
 from repro.obs import get_logger, get_registry
 from repro.roadnet.graph import RoadGraph
-from repro.roadnet.routing import RouteCache
 from repro.traces.model import RoutePoint
 
 _log = get_logger(__name__)
@@ -80,11 +79,9 @@ class IncrementalMatcher:
         self,
         graph: RoadGraph,
         config: IncrementalConfig | None = None,
-        route_cache: RouteCache | None = None,
     ) -> None:
         self.graph = graph
         self.config = config or IncrementalConfig()
-        self.route_cache = route_cache
         self._adjacent: dict[int, set[int]] = {}
 
     # -- adjacency ------------------------------------------------------------
@@ -144,10 +141,7 @@ class IncrementalMatcher:
             matched=list(state.decided),
         )
         t1 = perf_counter()
-        connect_matches(
-            self.graph, route, max_cost_m=self.config.max_gap_cost_m,
-            route_cache=self.route_cache,
-        )
+        connect_matches(self.graph, route, max_cost_m=self.config.max_gap_cost_m)
         state.elapsed_s += perf_counter() - t1
         registry.histogram("matching.match_seconds").observe(state.elapsed_s)
         _log.debug(

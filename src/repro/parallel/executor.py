@@ -3,9 +3,8 @@
 :class:`TripExecutor` fans chunks of :class:`~repro.parallel.MatchTask`
 (map-matching plus gap-fill, the only task kind) over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker builds its
-context — road network, spatial index, matcher, Dijkstra route cache —
-exactly once via the pool initialiser; tasks then only pay for shipping
-their own points.
+context — road network, spatial index, matcher — exactly once via the
+pool initialiser; tasks then only pay for shipping their own points.
 
 Determinism contract: results come back ordered by input position and
 worker registries merge into the ambient registry in chunk order, so a
@@ -49,12 +48,10 @@ class ExecutorConfig:
     """How (and whether) to pool map-matching.
 
     ``workers <= 1`` keeps everything serial and in-process — the
-    default.  ``route_cache_path`` points at an optional on-disk route
-    cache every matcher warms itself from; serial runs write it back.
+    default.
     """
 
     workers: int = 0
-    route_cache_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:

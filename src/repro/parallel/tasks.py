@@ -19,8 +19,9 @@ from repro.od import Gate, TransitionConfig, endpoints_near_gates
 from repro.traces.model import RoutePoint
 
 #: Route-provenance counters, in reporting priority order: the per-task
-#: delta of each classifies where the task's gap-fill answers came from
-#: (the ``route_source`` field of :class:`MatchOutcome`).
+#: delta of each classifies where the task's routing answers came from
+#: (the ``route_source`` field of :class:`MatchOutcome`): a shortest-path
+#: tree already on the graph, or one the task built.
 _ROUTE_SOURCE_COUNTERS = (
     ("cache", "routing.route_cache_hits"),
     ("dijkstra", "routing.dijkstra_calls"),
@@ -75,7 +76,8 @@ class MatchOutcome:
     #: facts travel home on the outcome so orchestrator-side lineage is
     #: identical for serial and parallel runs.
     elapsed_s: float = 0.0
-    #: Where gap-fill answers came from: ``"cache"``/``"dijkstra"``,
+    #: Where routing answers came from: ``"cache"`` (a memoised
+    #: shortest-path tree) / ``"dijkstra"`` (a tree built for this task),
     #: joined with ``+`` when mixed, ``"none"`` when no shortest-path
     #: query was needed.
     route_source: str = "none"

@@ -2,10 +2,12 @@
 
 A worker is initialised exactly once per process with a
 :class:`WorkerPayload` — the configs needed to rebuild its matching
-context (the synthetic city, its spatial index, OD gates, matcher and
-Dijkstra route cache).  The road network is deterministic given the
+context (the synthetic city, its spatial index, OD gates and matcher).
+The road network is deterministic given the
 :class:`~repro.roadnet.CitySpec`, so shipping the small spec and
-rebuilding beats pickling the whole graph into every task.
+rebuilding beats pickling the whole graph into every task.  The
+shortest-path trees the matcher reads are memoised on the worker's own
+graph, so each worker builds a tree at most once per source node.
 
 Chunks then execute against that long-lived context.  Each chunk records
 its metrics into a fresh chunk-local :class:`~repro.obs.MetricsRegistry`
@@ -36,22 +38,17 @@ from repro.obs import (
     use_run_context,
 )
 from repro.parallel.tasks import MatchOutcome, MatchTask, match_task, study_gates
-from repro.roadnet import CitySpec, RouteCache, build_synthetic_oulu
+from repro.roadnet import CitySpec, build_synthetic_oulu
 from repro.od import TransitionConfig
 
 
 @dataclass(frozen=True)
 class WorkerPayload:
-    """Everything a worker needs to rebuild its matching context.
-
-    ``route_cache_path`` points at an optional on-disk route cache every
-    worker warms itself from.
-    """
+    """Everything a worker needs to rebuild its matching context."""
 
     city_spec: CitySpec = field(default_factory=CitySpec)
     transition_config: TransitionConfig | None = None
     matcher: str = "incremental"
-    route_cache_path: str | None = None
     #: Degraded-mode execution: per-unit guards + bounded retry inside
     #: every worker (None = historical fail-fast).  ``fault_plan`` ships
     #: the seeded chaos plan each worker activates at init, so injection
@@ -75,8 +72,8 @@ class WorkerContext:
         projector = city.projector
         self.to_xy = lambda p: projector.to_xy(p.lat, p.lon)
         self.gates_by_name = {g.name: g for g in study_gates(city)}
-        self.route_cache = RouteCache(path=payload.route_cache_path)
-        self.matcher = make_matcher(city.graph, payload.matcher, self.route_cache)
+        self.graph = city.graph
+        self.matcher = make_matcher(city.graph, payload.matcher)
 
     def match(self, tasks: list[MatchTask]) -> list[MatchOutcome]:
         return [
@@ -95,14 +92,6 @@ class WorkerContext:
 #: The process's context; set once by :func:`init_worker`.
 _context: WorkerContext | None = None
 
-#: Metrics recorded while *building* the context (the route-cache warm
-#: load).  ``init_worker`` runs outside any chunk, so without
-#: this capture those counters/gauges would land in the worker's global
-#: registry and never reach the orchestrator — which is exactly the bug
-#: that made ``routing.route_cache_entries`` read 0 on warm-started
-#: parallel runs.  The first chunk each process executes folds it in.
-_init_registry: MetricsRegistry | None = None
-
 
 def init_worker(payload: WorkerPayload) -> None:
     """Process-pool initialiser: build the shared per-worker context.
@@ -112,13 +101,11 @@ def init_worker(payload: WorkerPayload) -> None:
     metrics written there would be silently lost.  The orchestrator run's
     trace identity then comes back in via ``payload.run_context``.
     """
-    global _context, _init_registry
+    global _context
     obs.reset_worker_state()
     set_run_context(payload.run_context)
     activate(payload.fault_plan)
-    _init_registry = MetricsRegistry()
-    with use_registry(_init_registry):
-        _context = WorkerContext(payload)
+    _context = WorkerContext(payload)
 
 
 def run_chunk(
@@ -141,7 +128,6 @@ def run_chunk(
     duplicates nor loses any item.  The executor only ever sets it on a
     chunk's first submission.
     """
-    global _init_registry
     if inject_kill:
         os._exit(86)  # hard kill: no cleanup, exactly like an OOM/SIGKILL
     if _context is None:
@@ -149,9 +135,6 @@ def run_chunk(
         # no city to match against: fail loudly instead of guessing.
         raise RuntimeError("run_chunk called before init_worker")
     registry = MetricsRegistry()
-    if _init_registry is not None:
-        registry.merge(_init_registry)
-        _init_registry = None
     handler = getattr(_context, kind)
     with ExitStack() as scopes:
         scopes.enter_context(use_registry(registry))
@@ -163,15 +146,15 @@ def run_chunk(
                 scopes.enter_context(use_journal(BufferJournal(registry.events)))
         results = handler(items)
         # Last-write-wins gauge: after the orchestrator's chunk-order
-        # merge this reports a live worker cache size instead of the
-        # serial-only value (0 on parallel runs before this fix).
-        registry.gauge("routing.route_cache_entries").set(len(_context.route_cache))
+        # merge this reports a live worker's shortest-path tree count.
+        trees = len(_context.graph.route_trees)
+        registry.gauge("routing.route_cache_entries").set(trees)
         if trace is not None and trace.journal:
             obs.get_journal().emit(
                 "cache",
                 scope=kind,
                 hits=registry.counter("routing.route_cache_hits").value,
                 misses=registry.counter("routing.route_cache_misses").value,
-                entries=len(_context.route_cache),
+                entries=trees,
             )
     return results, registry

@@ -16,7 +16,8 @@ preparation step:
   edges (Table 1);
 * :mod:`repro.roadnet.graph` — the resulting road graph;
 * :mod:`repro.roadnet.routing` — Dijkstra shortest paths (the pgRouting
-  substitute), the route cache and the batch query planner;
+  substitute), answered from shortest-path trees memoised on the graph,
+  and the batch query planner;
 * :mod:`repro.roadnet.synthcity` — a deterministic synthetic downtown-Oulu
   generator used in place of the proprietary extract.
 """
@@ -35,7 +36,6 @@ from repro.roadnet.graphbuild import JunctionPair, build_road_graph, classify_en
 from repro.roadnet.routing import (
     PathResult,
     RouteBatch,
-    RouteCache,
     cached_shortest_path,
     dijkstra,
     path_travel_time_s,
@@ -56,7 +56,6 @@ __all__ = [
     "PathResult",
     "PointObject",
     "RouteBatch",
-    "RouteCache",
     "PointObjectKind",
     "RoadEdge",
     "RoadGraph",

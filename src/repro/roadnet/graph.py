@@ -129,14 +129,30 @@ class RoadEdge:
         raise ValueError(f"node {from_node} is not an endpoint of edge {self.edge_id}")
 
 
+#: One traversable arc out of a node: ``(other_node, edge_id, cost, edge)``.
+Arc = tuple[int, int, float, RoadEdge]
+
+#: A settled Dijkstra label: ``(cost, prev_node, prev_edge)``.
+Label = tuple[float, int | None, int | None]
+
+
 class RoadGraph:
-    """Adjacency-indexed road network with a spatial edge index."""
+    """Adjacency-indexed road network with a spatial edge index.
+
+    Two routing structures derive from the graph, each built on first use
+    and dropped by :meth:`add_node`/:meth:`add_edge`: the flat adjacency
+    of :meth:`arcs` and the shortest-path trees of :attr:`route_trees`.
+    """
 
     def __init__(self, spatial_cell_m: float = 150.0) -> None:
         self._nodes: dict[int, RoadNode] = {}
         self._edges: dict[int, RoadEdge] = {}
         self._adj: dict[int, list[int]] = {}
         self._edge_index: GridIndex[int] = GridIndex(spatial_cell_m)
+        self._arcs: dict[tuple[str, bool], dict[int, list[Arc]]] = {}
+        #: Full shortest-path trees keyed by ``(source, weight,
+        #: respect_oneway)``; filled by :mod:`repro.roadnet.routing`.
+        self.route_trees: dict[tuple[int, str, bool], dict[int, Label]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -145,6 +161,7 @@ class RoadGraph:
             raise ValueError(f"duplicate node {node.node_id}")
         self._nodes[node.node_id] = node
         self._adj.setdefault(node.node_id, [])
+        self._drop_routing_state()
 
     def add_edge(self, edge: RoadEdge) -> None:
         if edge.edge_id in self._edges:
@@ -163,6 +180,11 @@ class RoadGraph:
             float(coords[:, 0].max()),
             float(coords[:, 1].max()),
         )
+        self._drop_routing_state()
+
+    def _drop_routing_state(self) -> None:
+        self._arcs = {}
+        self.route_trees = {}
 
     # -- access ---------------------------------------------------------------
 
@@ -194,6 +216,28 @@ class RoadGraph:
             if not respect_oneway or edge.allows(node_id):
                 out.append(edge)
         return out
+
+    def arcs(
+        self, weight: str = "length", respect_oneway: bool = True
+    ) -> dict[int, list[Arc]]:
+        """Flat adjacency: per node, the arcs :meth:`out_edges` yields.
+
+        Each arc is ``(other_node, edge_id, cost, edge)`` in
+        :meth:`out_edges` order; ``cost`` is the edge's ``length`` for
+        ``weight="length"`` and its ``travel_time_s`` otherwise.
+        """
+        key = (weight, respect_oneway)
+        arcs = self._arcs.get(key)
+        if arcs is None:
+            arcs = self._arcs[key] = {
+                node_id: [
+                    (edge.other(node_id), edge.edge_id,
+                     edge.length if weight == "length" else edge.travel_time_s, edge)
+                    for edge in self.out_edges(node_id, respect_oneway)
+                ]
+                for node_id in self._adj
+            }
+        return arcs
 
     def neighbors(self, node_id: int, respect_oneway: bool = True) -> list[int]:
         """Adjacent node ids reachable from ``node_id``."""

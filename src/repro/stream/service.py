@@ -57,7 +57,7 @@ from repro.obs import (
 from repro.od import TransitionExtractor
 from repro.od.transitions import FunnelFold, FunnelRow
 from repro.parallel import MatchTask, match_task, study_gates
-from repro.roadnet import RouteCache, SyntheticCity, build_synthetic_oulu
+from repro.roadnet import SyntheticCity, build_synthetic_oulu
 from repro.stats import MixedModelResult
 from repro.stream.checkpoint import CheckpointStore, load_checkpoint
 from repro.stream.sources import open_source
@@ -84,8 +84,7 @@ class StreamConfig:
 
     #: The study parameters the stream must reproduce exactly (city,
     #: grid, transition, matcher, robustness, faults).  The executor's
-    #: ``workers`` is ignored — the stream fold is serial — but its
-    #: ``route_cache_path`` applies.
+    #: ``workers`` is ignored — the stream fold is serial.
     study: StudyConfig = field(default_factory=StudyConfig)
     #: Input path (CSV, growing CSV, or fifo) for :func:`open_source`.
     input: str | None = None
@@ -119,9 +118,9 @@ class StreamConfig:
         """Identity of everything that shapes artefacts (resume guard).
 
         ``study.executor`` is left out, as the shard store's cache keys
-        leave it out (``repro.store.cachekey.EXCLUDED_FIELDS``): pool and
-        cache settings do not change what the fold computes, so a
-        checkpoint resumes under any of them.
+        leave it out (``repro.store.cachekey.EXCLUDED_FIELDS``): pool
+        settings do not change what the fold computes, so a checkpoint
+        resumes under any of them.
         """
         study = [
             (f.name, getattr(self.study, f.name))
@@ -280,8 +279,7 @@ class StreamService:
             study_gates(self.city), self.city.central_area, study.transition
         )
         self._pipeline = CleaningPipeline(robustness=study.robustness)
-        self._route_cache = RouteCache(path=study.executor.route_cache_path)
-        self._matcher = make_matcher(self.city.graph, study.matcher, self._route_cache)
+        self._matcher = make_matcher(self.city.graph, study.matcher)
         self._checkpoints = (
             CheckpointStore(self.config.checkpoint_dir)
             if self.config.checkpoint_dir is not None else None
@@ -589,8 +587,6 @@ class StreamService:
             )
         with span("mixed_model"):
             mixed = self._match.mixed_model()
-        if study.executor.route_cache_path is not None:
-            self._route_cache.save()
         _log.info(
             "stream drained",
             extra={

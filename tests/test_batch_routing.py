@@ -1,10 +1,11 @@
 """Batched routing: the :class:`RouteBatch` contract.
 
 The batch layer is pure mechanism — ``RouteBatch.resolve`` must answer
-exactly what repeated ``shortest_path`` calls would,
+exactly what repeated ``shortest_path`` calls would, and
 ``RouteBatch.resolve_costs`` must return exact costs within each
-source's bound and cache only paths a per-pair query would have stored,
-and the cache's batch operations must never change a result.
+source's bound.  Every answer is read from a shortest-path tree memoised
+on the graph, so each one is checked against the per-query searches of
+``tests/oracles/routing.py``, before and after the graph changes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.roadnet import RouteBatch, RouteCache, cached_shortest_path, shortest_path
-from repro.roadnet.routing import PathResult
+from repro.experiments import OuluStudy, StudyConfig
+from repro.geo.geometry import LineString
+from repro.roadnet import RouteBatch, cached_shortest_path, shortest_path
+from repro.roadnet.graph import ElementSpan, RoadEdge
+from repro.traces import FleetSpec
 from tests.helpers import build_random_city
+from tests.oracles import routing as oracle
+
+
+def _add_shortcut(graph, u: int, v: int) -> int:
+    """Add a straight two-way edge ``u``-``v``; returns its id."""
+    edge_id = max(e.edge_id for e in graph.edges()) + 1
+    geom = LineString([graph.node(u).position, graph.node(v).position])
+    graph.add_edge(RoadEdge(
+        edge_id=edge_id, u=u, v=v, geometry=geom,
+        spans=(ElementSpan(edge_id, 0.0, geom.length, False, 60.0),),
+    ))
+    return edge_id
+
+
+def _bounds(graph, sources, targets, specs) -> dict[int, float]:
+    """Per-source bounds; a ``None`` spec is the exact optimal cost to
+    one of the targets, so ties with the bound are exercised."""
+    bounds = {}
+    for i, (s, spec) in enumerate(zip(sources, specs)):
+        if spec is None:
+            spec = oracle.shortest_path(graph, s, targets[i % len(targets)]).cost
+        bounds[s] = spec
+    return bounds
+
+
+def _assert_equals_oracle(graph, sources, targets, specs) -> None:
+    pairs = [(s, t) for s in sources for t in targets]
+    for weight in ("length", "time"):
+        for respect_oneway in (True, False):
+            for s, t in pairs:
+                assert shortest_path(graph, s, t, weight, respect_oneway) == (
+                    oracle.shortest_path(graph, s, t, weight, respect_oneway)
+                )
+        batch = RouteBatch(graph, weight=weight)
+        assert batch.resolve(pairs) == {
+            (s, t): oracle.shortest_path(graph, s, t, weight) for s, t in pairs
+        }
+        max_costs = _bounds(graph, sources, targets, specs)
+        assert batch.resolve_costs(pairs, max_costs) == oracle.resolve_costs(
+            graph, pairs, max_costs, weight
+        )
 
 
 # -- RouteBatch planner ------------------------------------------------------
@@ -34,21 +79,37 @@ class TestRouteBatch:
             assert resolved[(s, t)] == cached_shortest_path(graph, s, t, "length")
 
     def test_second_resolve_is_all_cache_hits(self):
+        """The first resolve builds one tree per source; a second one
+        reads them and runs no search."""
         graph = build_random_city(12)
         ids = sorted(node.node_id for node in graph.nodes())
         pairs = [(s, t) for s in ids[:4] for t in ids[-4:]]
-        cache = RouteCache(max_entries=100)
-        batch = RouteBatch(graph, weight="length", cache=cache)
-        resolved = batch.resolve(pairs)
-        for s, t in pairs:
-            assert resolved[(s, t)] == shortest_path(graph, s, t)
-        # Second resolve answers fully from cache.
+        batch = RouteBatch(graph, weight="length")
+        first = obs.MetricsRegistry()
+        with obs.use_registry(first):
+            resolved = batch.resolve(pairs)
+        assert first.counter("routing.route_cache_misses").value == 4
+        assert first.counter("routing.dijkstra_calls").value == 4
+        assert first.gauge("routing.route_cache_entries").value == 4
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
             again = batch.resolve(pairs)
         assert again == resolved
         assert registry.counter("routing.route_cache_hits").value == len(pairs)
         assert registry.counter("routing.route_cache_misses").value == 0
+        assert registry.counter("routing.dijkstra_calls").value == 0
+
+    def test_resolve_costs_looks_up_one_tree_per_source(self):
+        graph = build_random_city(13)
+        ids = sorted(node.node_id for node in graph.nodes())
+        pairs = [(s, t) for s in ids[:3] for t in ids]
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            RouteBatch(graph).resolve_costs(pairs, {ids[0]: 0.0})
+            RouteBatch(graph).resolve_costs(pairs)
+        assert registry.counter("routing.route_cache_misses").value == 3
+        assert registry.counter("routing.route_cache_hits").value == 3
+        assert registry.counter("routing.settled_nodes").value == 3 * len(ids)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -56,7 +117,9 @@ class TestRouteBatch:
         components=st.sampled_from([1, 2]),
         bounds=st.lists(
             st.one_of(
+                st.just(0.0),
                 st.just(math.inf),
+                st.none(),
                 st.floats(min_value=0.0, max_value=2_000.0),
             ),
             min_size=5,
@@ -64,7 +127,7 @@ class TestRouteBatch:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_resolve_costs_is_exact_within_bounds_and_caches_true_paths(
+    def test_every_answer_equals_the_per_search_oracle(
         self, seed, oneway, components, bounds
     ):
         graph = build_random_city(
@@ -72,74 +135,26 @@ class TestRouteBatch:
         )
         ids = sorted(node.node_id for node in graph.nodes())
         sources = ids[seed % 5::5]
+        # Every third node: overlaps the sources, so some pairs are (s, s).
         targets = ids[(seed + 2) % 3::3]
-        max_costs = dict(zip(sources, bounds))
-        pairs = [(s, t) for s in sources for t in targets]
-        cache = RouteCache(max_entries=10_000)
-        costs = RouteBatch(graph, weight="length", cache=cache).resolve_costs(
-            pairs, max_costs
-        )
-        assert set(costs) == set(pairs)
-        within = 0
-        for s, t in pairs:
-            reference = shortest_path(graph, s, t)
-            cached = cache.get(s, t, "length")
-            if reference.found and reference.cost <= max_costs[s]:
-                within += 1
-                assert costs[(s, t)] == reference.cost
-                # Later gap-fill queries read this entry, so it must be
-                # the very path a per-pair query would have stored.
-                assert cached == reference
-            else:
-                assert math.isinf(costs[(s, t)])
-                assert cached is None
-        assert len(cache) == within
+        _assert_equals_oracle(graph, sources, targets, bounds)
+        # A shortcut from the first source to its most-hops target (or to
+        # an unreachable one) changes answers the trees already hold.
+        s = sources[0]
+        paths = {t: oracle.shortest_path(graph, s, t) for t in targets if t != s}
+        t = max(paths, key=lambda t: (not paths[t].found, paths[t].hop_count))
+        _add_shortcut(graph, s, t)
+        _assert_equals_oracle(graph, sources, targets, bounds)
 
 
-# -- RouteCache batch operations ---------------------------------------------
+class TestStudyTrees:
+    """The match stage builds at most one tree per node of the city."""
 
-
-class TestRouteCacheBatch:
-    def test_get_many_splits_hits_and_misses_in_order(self):
-        cache = RouteCache(max_entries=10)
-        hit_path = PathResult(nodes=(1, 2), edges=(7,), cost=5.0)
-        cache.put(1, 2, "length", hit_path)
-        hits, misses = cache.get_many([(3, 4), (1, 2), (5, 6)], "length")
-        assert hits == {(1, 2): hit_path}
-        assert misses == [(3, 4), (5, 6)]
-
-    def test_get_many_refreshes_lru_position(self):
-        cache = RouteCache(max_entries=2)
-        a = PathResult(nodes=(1,), edges=(), cost=0.0)
-        b = PathResult(nodes=(2,), edges=(), cost=0.0)
-        cache.put(1, 1, "length", a)
-        cache.put(2, 2, "length", b)
-        cache.get_many([(1, 1)], "length")  # (1,1) becomes most recent
-        cache.put(3, 3, "length", PathResult(nodes=(3,), edges=(), cost=0.0))
-        assert cache.get(1, 1, "length") is not None
-        assert cache.get(2, 2, "length") is None  # evicted, not (1,1)
-
-    def test_put_many_bounds_entries_and_sets_gauge(self):
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            cache = RouteCache(max_entries=3)
-            results = {
-                (i, i + 1): PathResult(nodes=(i,), edges=(), cost=float(i))
-                for i in range(5)
-            }
-            cache.put_many(results, "length")
-        assert len(cache) == 3
-        assert registry.gauge("routing.route_cache_entries").value == 3
-        assert registry.counter("routing.route_cache_evictions").value == 2
-
-    def test_hit_rate_gauge_tracks_lookups(self):
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            cache = RouteCache(max_entries=10)
-            cache.put(1, 2, "length", PathResult(nodes=(1, 2), edges=(7,), cost=1.0))
-            cache.get(9, 9, "length")  # miss
-            assert registry.gauge("routing.route_cache_hit_rate").value == 0.0
-            cache.get(1, 2, "length")  # hit
-            assert registry.gauge("routing.route_cache_hit_rate").value == 0.5
-            cache.get_many([(1, 2), (8, 8)], "length")  # hit + miss
-            assert registry.gauge("routing.route_cache_hit_rate").value == 0.5
+    def test_serial_and_hmm_studies(self, city):
+        for matcher in ("incremental", "hmm"):
+            result = OuluStudy(StudyConfig(
+                fleet=FleetSpec(n_days=20, seed=2012), matcher=matcher
+            )).run()
+            built = result.metrics["counters"]["routing.route_cache_misses"]
+            assert 0 < built <= city.graph.node_count
+            assert result.metrics["gauges"]["routing.route_cache_entries"] == built

@@ -1,14 +1,17 @@
 """Tests for repro.cleaning.segmentation — the Table 2 rules."""
 
+import numpy as np
 import pytest
 
 from repro.cleaning.segmentation import (
     SegmentationConfig,
     TripSegment,
+    _stop_rules,
     segment_trip,
 )
-from repro.geo.distance import destination_point
+from repro.geo.distance import destination_point, haversine_m
 from repro.traces.model import RoutePoint, Trip
+from tests.oracles.cleaning import _stop_rule
 
 
 class TrackBuilder:
@@ -84,6 +87,24 @@ class TestRules:
         segments, report = segment_trip(builder.trip())
         assert report.rule_hits[5] >= 1
         assert len(segments) >= 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_gap_matches_the_one_gap_rule(self):
+        """1 m over a 5e-324 s gap: ``dist / dt`` is inf with no overflow
+        warning, and the mask kernel's codes equal the one-gap rule's."""
+        points = (
+            TrackBuilder().leg(1.0, 5e-324).leg(0.2, 150.0).leg(500.0, 480.0)
+            .leg(5.0, 400.0).leg(0.0, 60.0).points
+        )
+        assert points[1].time_s - points[0].time_s == 5e-324
+        config = SegmentationConfig()
+        window = config.rule1_window_s
+        gaps = list(zip(points, points[1:]))
+        dist = np.array([haversine_m(a.lat, a.lon, b.lat, b.lon) for a, b in gaps])
+        dt = np.array([b.time_s - a.time_s for a, b in gaps])
+        codes = _stop_rules(dist, dt, config, window).tolist()
+        assert codes == [_stop_rule(a, b, config, window) for a, b in gaps]
+        assert codes == [0, 3, 2, 1, 0]
 
     def test_segment_ids_sequential(self):
         trip = TrackBuilder().drive().leg(5.0, 400.0).drive().trip()

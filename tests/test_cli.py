@@ -190,6 +190,9 @@ class TestBadFlagValues:
         ["clean", "POINTS", "--workers", "2"],
         ["clean", "POINTS", "--chunk-size", "4"],
         ["clean", "POINTS", "--route-cache", "routes.json"],
+        ["study", "--days", "2", "--route-cache", "routes.json"],
+        ["serve", "--input", "POINTS", "--route-cache", "routes.json"],
+        ["report", "--days", "2", "--route-cache", "routes.json"],
         ["serve", "--input", "POINTS", "--workers", "3"],
         ["serve", "--input", "POINTS", "--chunk-size", "4"],
         ["study", "--days", "2", "--chunk-size", "4"],
@@ -199,8 +202,9 @@ class TestBadFlagValues:
     def test_removed_flag_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         """Flags that chose nothing (cleaning never routes or pools, the
         stream folds serially, chunking never changed an output, the
-        live matcher reached no artefact) are gone: passing one is a
-        usage error, not a silent no-op."""
+        live matcher reached no artefact, routes come from the graph's
+        own shortest-path trees) are gone: passing one is a usage error,
+        not a silent no-op."""
         flag = max(i for i, arg in enumerate(argv) if arg.startswith("--"))
         message = f"repro: error: unrecognized arguments: {' '.join(argv[flag:])}"
         self._check_exit_2(argv, message, tmp_path, monkeypatch, capsys)

@@ -23,7 +23,6 @@ from repro.parallel import (
     match_task,
     study_gates,
 )
-from repro.roadnet import RouteCache
 from repro.stream import study_fingerprint
 from repro.traces import FleetSpec
 
@@ -43,7 +42,7 @@ def tasks(study_result) -> list[MatchTask]:
 def serial_outcomes(city, tasks) -> list:
     """Every task matched in-process by the function pool workers run."""
     projector = city.projector
-    matcher = make_matcher(city.graph, "incremental", RouteCache())
+    matcher = make_matcher(city.graph, "incremental")
     gates_by_name = {g.name: g for g in study_gates(city)}
     return [
         match_task(

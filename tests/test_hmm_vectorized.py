@@ -20,7 +20,6 @@ from repro.experiments import OuluStudy, StudyConfig
 from repro.parallel import ExecutorConfig
 from repro.matching.hmm import HmmConfig, HmmMatcher
 from repro.obs.report import render_report
-from repro.roadnet.routing import RouteCache
 from repro.traces import FleetSpec
 from repro.traces.model import RoutePoint
 from tests.helpers import build_random_city, study_fingerprint
@@ -73,10 +72,10 @@ def route_key(route):
 
 
 def decode_both(graph, trips, config=None):
-    """(oracle keys, vectorized keys) with fresh caches for each pass."""
+    """(oracle keys, vectorized keys), each from a fresh matcher."""
 
     def decode():
-        matcher = HmmMatcher(graph, config=config, route_cache=RouteCache())
+        matcher = HmmMatcher(graph, config=config)
         return [route_key(matcher.match(t, _to_xy)) for t in trips]
 
     vectorized = decode()

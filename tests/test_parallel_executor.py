@@ -2,9 +2,9 @@
 
 The headline contract — a study run with any worker count produces the
 same artefacts as a serial run — is asserted end to end on the synthetic
-city, alongside the pieces that make it true: the route cache never
-changes an answer, chunk execution is isolated from ambient observability
-state, and a forked worker resets what it inherited.
+city, alongside the pieces that make it true: memoised shortest-path
+trees never change an answer, chunk execution is isolated from ambient
+observability state, and a forked worker resets what it inherited.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from repro.experiments import OuluStudy, StudyConfig
 from repro.parallel import ExecutorConfig, MatchTask, TripExecutor, WorkerPayload
 from repro.parallel import worker as worker_mod
 from repro.parallel.worker import init_worker, run_chunk
-from repro.roadnet import RouteCache, cached_shortest_path
-from repro.roadnet.routing import PathResult, shortest_path
+from repro.roadnet import cached_shortest_path
 from repro.traces import FleetSpec
+from tests.helpers import build_random_city
+from tests.oracles import routing as oracle
 
 
 # -- configuration ----------------------------------------------------------
@@ -110,73 +111,28 @@ class TestWorkerSafety:
 
 
 class TestRouteCache:
-    def test_lru_evicts_oldest(self):
-        cache = RouteCache(max_entries=2)
-        hit = PathResult(nodes=(1, 2), edges=(7,), cost=5.0)
-        cache.put(1, 2, "length", hit)
-        cache.put(2, 3, "length", hit)
-        cache.put(3, 4, "length", hit)  # evicts (1, 2)
-        assert len(cache) == 2
-        assert cache.get(1, 2, "length") is None
-        assert cache.get(2, 3, "length") is not None
-
-    def test_get_refreshes_recency(self):
-        cache = RouteCache(max_entries=2)
-        hit = PathResult(nodes=(1, 2), edges=(7,), cost=5.0)
-        cache.put(1, 2, "length", hit)
-        cache.put(2, 3, "length", hit)
-        cache.get(1, 2, "length")  # (1, 2) becomes most recent
-        cache.put(3, 4, "length", hit)  # so (2, 3) is evicted instead
-        assert cache.get(1, 2, "length") is not None
-        assert cache.get(2, 3, "length") is None
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            RouteCache(max_entries=0)
-
-    def test_unroutable_results_survive_disk_round_trip(self, tmp_path):
-        path = tmp_path / "routes.json"
-        cache = RouteCache(max_entries=10)
-        cache.put(1, 2, "length", PathResult(nodes=(1, 9, 2), edges=(4, 5), cost=12.5))
-        cache.put(3, 4, "length", PathResult(nodes=(), edges=(), cost=math.inf))
-        assert cache.save(path) == 2
-        warmed = RouteCache(max_entries=10, path=path)
-        assert len(warmed) == 2
-        assert warmed.get(1, 2, "length") == PathResult(nodes=(1, 9, 2), edges=(4, 5), cost=12.5)
-        unroutable = warmed.get(3, 4, "length")
-        assert unroutable is not None and not unroutable.found
-        assert math.isinf(unroutable.cost)
+    """Gap-fill queries read shortest-path trees memoised on the graph."""
 
     def test_cached_shortest_path_never_changes_the_answer(self, city):
         nodes = [n.node_id for n in city.graph.nodes()[:6]]
-        cache = RouteCache(max_entries=100)
         pairs = [(a, b) for a in nodes for b in nodes if a != b]
         for source, target in pairs:
-            plain = shortest_path(city.graph, source, target)
-            cold = cached_shortest_path(city.graph, source, target, cache=cache)
-            warm = cached_shortest_path(city.graph, source, target, cache=cache)
-            assert cold == plain
-            assert warm == plain
+            reference = oracle.shortest_path(city.graph, source, target)
+            cold = cached_shortest_path(city.graph, source, target)
+            warm = cached_shortest_path(city.graph, source, target)
+            assert cold == reference
+            assert warm == reference
 
-    def test_hit_and_miss_counters(self, city):
+    def test_hit_and_miss_counters(self):
+        graph = build_random_city(5)
         registry = obs.MetricsRegistry()
-        source, target = (n.node_id for n in city.graph.nodes()[:2])
         with obs.use_registry(registry):
-            cache = RouteCache(max_entries=10)
-            cached_shortest_path(city.graph, source, target, cache=cache)
-            cached_shortest_path(city.graph, source, target, cache=cache)
+            cached_shortest_path(graph, 1, 2)   # builds node 1's tree
+            cached_shortest_path(graph, 1, 3)   # reads it
         assert registry.counter("routing.route_cache_misses").value == 1
         assert registry.counter("routing.route_cache_hits").value == 1
-
-    def test_eviction_counter_and_entries_gauge(self):
-        registry = obs.MetricsRegistry()
-        hit = PathResult(nodes=(1, 2), edges=(7,), cost=5.0)
-        with obs.use_registry(registry):
-            cache = RouteCache(max_entries=2)
-            for target in (2, 3, 4, 5):
-                cache.put(1, target, "length", hit)
-        assert registry.counter("routing.route_cache_evictions").value == 2
-        assert registry.gauge("routing.route_cache_entries").value == 2.0
+        assert registry.counter("routing.dijkstra_calls").value == 1
+        assert registry.gauge("routing.route_cache_entries").value == 1.0
 
 
 # -- serial vs parallel equivalence -----------------------------------------

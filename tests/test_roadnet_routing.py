@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.geo.geometry import LineString
 from repro.roadnet.graph import ElementSpan, RoadEdge, RoadGraph, RoadNode
 from repro.roadnet.routing import (
+    RouteBatch,
     dijkstra,
     path_travel_time_s,
     shortest_path,
@@ -68,20 +69,26 @@ class TestAgainstNetworkx:
         assert ours.cost == pytest.approx(expected, rel=1e-9)
 
 
+def build_chain_graph() -> RoadGraph:
+    """Nodes 1-2-3-4 joined by edges 1, 2, 3 (100 m each, 36 km/h)."""
+    g = RoadGraph()
+    coords = [(0, 0), (100, 0), (200, 0), (200, 100)]
+    for i, pos in enumerate(coords, start=1):
+        g.add_node(RoadNode(i, tuple(map(float, pos))))
+    for eid, (u, v) in enumerate([(1, 2), (2, 3), (3, 4)], start=1):
+        geom = LineString([g.node(u).position, g.node(v).position])
+        g.add_edge(
+            RoadEdge(
+                edge_id=eid, u=u, v=v, geometry=geom,
+                spans=(ElementSpan(eid, 0.0, geom.length, False, 36.0),),
+            )
+        )
+    return g
+
+
 class TestPathMechanics:
     def setup_method(self):
-        self.g = RoadGraph()
-        coords = [(0, 0), (100, 0), (200, 0), (200, 100)]
-        for i, pos in enumerate(coords, start=1):
-            self.g.add_node(RoadNode(i, tuple(map(float, pos))))
-        for eid, (u, v) in enumerate([(1, 2), (2, 3), (3, 4)], start=1):
-            geom = LineString([self.g.node(u).position, self.g.node(v).position])
-            self.g.add_edge(
-                RoadEdge(
-                    edge_id=eid, u=u, v=v, geometry=geom,
-                    spans=(ElementSpan(eid, 0.0, geom.length, False, 36.0),),
-                )
-            )
+        self.g = build_chain_graph()
 
     def test_trivial_same_node(self):
         p = shortest_path(self.g, 2, 2)
@@ -156,53 +163,27 @@ class TestOneWayRouting:
         assert without.edges == (1,)
 
 
-class TestRouteCacheSpill:
-    """A corrupt or partial spill file must never fail a run (regression)."""
+class TestDerivedState:
+    """The flat adjacency and the memoised trees follow the graph."""
 
-    def _cache(self, tmp_path, text: str | bytes):
-        from repro.roadnet.routing import RouteCache
+    def setup_method(self):
+        # A graph that has answered queries already.
+        self.g = build_chain_graph()
+        assert shortest_path(self.g, 1, 4).edges == (1, 2, 3)
+        assert RouteBatch(self.g).resolve_costs([(1, 4)]) == {(1, 4): 300.0}
 
-        spill = tmp_path / "routes.json"
-        if isinstance(text, bytes):
-            spill.write_bytes(text)
-        else:
-            spill.write_text(text)
-        return RouteCache(max_entries=16, path=spill), spill
+    def test_add_edge_shortcut_returns_the_new_path(self):
+        geom = LineString([self.g.node(1).position, self.g.node(4).position])
+        self.g.add_edge(RoadEdge(9, 1, 4, geom,
+                                 (ElementSpan(9, 0.0, geom.length, False, 36.0),)))
+        path = shortest_path(self.g, 1, 4)
+        assert path.nodes == (1, 4)
+        assert path.edges == (9,)
+        assert path.cost == geom.length
+        assert RouteBatch(self.g).resolve_costs([(1, 4)]) == {(1, 4): geom.length}
+        assert dijkstra(self.g, 1, 4)[4] == (geom.length, 1, 9)
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            "not json at all {{{",
-            '{"routes": [{"source": 1}]}',            # missing fields
-            '{"routes": [{"source": 1, "target": 2, "weight": "length", '
-            '"nodes": [1, 2], "edges": [7], "cost": 1',  # truncated save
-            '{"routes": "oops"}',                      # wrong shape
-            b"\x80\x81 binary garbage",
-        ],
-        ids=["garbage", "missing-fields", "truncated", "wrong-shape", "binary"],
-    )
-    def test_corrupt_spill_discarded_with_warning_counter(self, tmp_path, payload):
-        from repro.obs import MetricsRegistry, use_registry
-        from repro.roadnet.routing import PathResult
-
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            cache, spill = self._cache(tmp_path, payload)
-        assert len(cache) == 0
-        assert registry.counter("routing.route_cache_load_errors").value == 1
-        # The cache stays fully usable after the discard...
-        result = PathResult(nodes=(1, 2), edges=(7,), cost=3.0)
-        cache.put(1, 2, "length", result)
-        assert cache.get(1, 2, "length") == result
-        # ...and the next save/load round-trips cleanly.
-        assert cache.save() == 1
-        assert cache.load() == 1
-
-    def test_partial_discard_is_wholesale(self, tmp_path):
-        """Valid leading rows of a damaged spill are not half-loaded."""
-        text = (
-            '{"routes": [{"source": 1, "target": 2, "weight": "length", '
-            '"nodes": [1, 2], "edges": [7], "cost": 1.0}, {"source": 3}]}'
-        )
-        cache, __ = self._cache(tmp_path, text)
-        assert len(cache) == 0
+    def test_add_node_drops_the_trees(self):
+        self.g.add_node(RoadNode(5, (300.0, 100.0)))
+        assert self.g.route_trees == {}
+        assert not shortest_path(self.g, 1, 5).found
