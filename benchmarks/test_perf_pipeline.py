@@ -74,8 +74,8 @@ def _study_transitions(workers: int, guarded: bool = True) -> int:
 
 
 def _journaled_study(out_dir) -> int:
-    """The serial study with the run journal and OpenMetrics export on."""
-    from repro.obs import FileJournal, RunContext, use_journal, write_textfile
+    """The serial study with the run journal on."""
+    from repro.obs import FileJournal, RunContext, use_journal
 
     config = StudyConfig(
         fleet=FleetSpec(n_days=_PAR_DAYS, seed=31),
@@ -91,7 +91,6 @@ def _journaled_study(out_dir) -> int:
     except Exception:
         journal.close("error")
         raise
-    write_textfile(out_dir / "metrics.prom", result.metrics)
     return len(result.kept_transitions)
 
 
@@ -173,11 +172,11 @@ def test_perf_study_unguarded(benchmark):
 
 
 def test_perf_study_journaled(benchmark, tmp_path):
-    """The serial study with the run journal and OpenMetrics export on.
+    """The serial study with the run journal on.
 
     Identical work to ``test_perf_study_serial`` plus everything the
     observability layer adds per unit (journal span/lineage events,
-    detail spans, the textfile export at the end).
+    detail spans).
     ``extra_info['journal_overhead']`` carries the interleaved
     journaled/serial ratio that ``tools/bench_compare.py`` gates at
     ≤1.03.

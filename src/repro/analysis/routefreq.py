@@ -132,10 +132,6 @@ class DirectionDetour:
         """Driven/shortest length ratio of the most frequent variant."""
         return self.typical_m / self.shortest_m if self.shortest_m else 1.0
 
-    @property
-    def fastest_detour(self) -> float:
-        return self.fastest_m / self.shortest_m if self.shortest_m else 1.0
-
 
 def route_length_m(graph, signature: RouteSignature) -> float:
     """Driven length of a route signature (sum of edge lengths)."""

@@ -107,9 +107,6 @@ class CleanResult:
     segments: list[TripSegment]
     report: CleaningReport
 
-    def segments_for_car(self, car_id: int) -> list[TripSegment]:
-        return [s for s in self.segments if s.car_id == car_id]
-
 
 class CleaningFold:
     """Per-trip accounting: trip results in, the cleaning report out.

@@ -22,12 +22,11 @@
 Observability: every command accepts ``--log-level``/``--log-json``
 (structured logs on stderr) and ``--quiet`` (suppress the human-mode
 accounting tables; logging is unaffected).  ``clean``/``study``/
-``report`` accept ``--metrics-out FILE`` to dump the run's metrics
+``serve`` accept ``--metrics-out FILE`` to dump the run's metrics
 registry (counters, latency histograms, stage-timing tree, run
-metadata) as JSON, ``--journal-out FILE`` for the append-only run
-journal (``study`` always writes ``events.jsonl`` into ``--out``),
-``--prom-out FILE`` for an OpenMetrics textfile, and ``--profile`` for
-a sampling span profiler (collapsed-stack output).
+metadata) as JSON, and ``clean``/``study``/``serve``/``report`` accept
+``--journal-out FILE`` for the append-only run journal (``study`` and
+``serve`` always write ``events.jsonl`` into ``--out``).
 
 A bad flag value or a missing input file is reported as one
 ``repro <command>: <message>`` line on stderr with exit status 2,
@@ -96,25 +95,11 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
-    """Run-journal / exporter / profiler flags (clean, study, report)."""
+    """Run-journal flag (clean, study, serve, report)."""
     parser.add_argument(
         "--journal-out", type=Path, default=None, metavar="FILE",
-        help="write the append-only run journal (events JSONL; study: "
-             "defaults to events.jsonl in --out)",
-    )
-    parser.add_argument(
-        "--prom-out", type=Path, default=None, metavar="FILE",
-        help="write the run's metrics as an OpenMetrics textfile",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="sample open spans while the run executes and write a "
-             "collapsed-stack profile (see --profile-out)",
-    )
-    parser.add_argument(
-        "--profile-out", type=Path, default=None, metavar="FILE",
-        help="collapsed-stack profile path (default: profile.txt in "
-             "--out for study, ./profile.txt otherwise)",
+        help="write the append-only run journal (events JSONL; study and "
+             "serve: defaults to events.jsonl in --out)",
     )
 
 
@@ -205,6 +190,9 @@ def _require_inputs(*paths: Path | None) -> None:
     for path in paths:
         if path is not None and not path.exists():
             raise _UsageError(f"no such file or directory: {path}")
+
+
+_JOURNAL_HELP = "a run's events.jsonl, or the run directory holding it"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,16 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_sub.add_parser(
         "report", help="render the run report from an events journal")
-    obs_report.add_argument("journal", type=Path)
+    obs_report.add_argument("journal", type=Path, help=_JOURNAL_HELP)
     obs_report.add_argument("--top", type=int, default=10, metavar="N",
                             help="slowest units to list (default 10)")
     obs_tail = obs_sub.add_parser(
         "tail", help="print the last N journal events, one line each")
-    obs_tail.add_argument("journal", type=Path)
+    obs_tail.add_argument("journal", type=Path, help=_JOURNAL_HELP)
     obs_tail.add_argument("-n", "--lines", type=int, default=20, metavar="N")
     obs_trip = obs_sub.add_parser(
         "trip", help="full lineage of one unit (trip/segment/transition id)")
-    obs_trip.add_argument("journal", type=Path)
+    obs_trip.add_argument("journal", type=Path, help=_JOURNAL_HELP)
     obs_trip.add_argument("unit_id", type=int)
     obs_diff = obs_sub.add_parser(
         "diff", help="compare two run output directories "
@@ -354,36 +342,22 @@ def _say(args: argparse.Namespace, *values) -> None:
         print(*values)
 
 
-def _start_instruments(
+def _open_journal(
     args: argparse.Namespace,
     run_ctx: obs.RunContext,
     command: str,
     journal_default: Path | None = None,
-) -> tuple[obs.FileJournal | None, obs.SpanProfiler | None]:
-    """Open the run journal and start the span profiler, per flags."""
-    journal = None
-    path = getattr(args, "journal_out", None) or journal_default
-    if path is not None:
-        journal = obs.FileJournal(path, run_ctx, extra_meta={"command": command})
-    profiler = None
-    if getattr(args, "profile", False):
-        profiler = obs.SpanProfiler()
-        profiler.start()
-    return journal, profiler
+) -> obs.FileJournal | None:
+    """Open the run journal, if ``--journal-out`` or a default asks for one."""
+    path = args.journal_out or journal_default
+    if path is None:
+        return None
+    return obs.FileJournal(path, run_ctx, extra_meta={"command": command})
 
 
-def _stop_instruments(
-    args: argparse.Namespace,
-    journal: obs.FileJournal | None,
-    profiler: obs.SpanProfiler | None,
-    status: str,
-    profile_default: Path = Path("profile.txt"),
+def _close_journal(
+    args: argparse.Namespace, journal: obs.FileJournal | None, status: str
 ) -> None:
-    if profiler is not None:
-        profiler.stop()
-        path = getattr(args, "profile_out", None) or profile_default
-        profiler.write(path)
-        _say(args, f"wrote span profile to {path}")
     if journal is not None:
         journal.close(status)
         _say(args, f"wrote run journal to {journal.path}")
@@ -424,7 +398,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
         args.metrics_out.parent / "events.jsonl"
         if args.metrics_out is not None else None
     )
-    journal, profiler = _start_instruments(args, run_ctx, "clean", journal_default)
+    journal = _open_journal(args, run_ctx, "clean", journal_default)
     started = time.time()
     status = "error"
     try:
@@ -446,7 +420,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
                 return 1
         status = "ok"
     finally:
-        _stop_instruments(args, journal, profiler, status)
+        _close_journal(args, journal, status)
     ended = time.time()
     r = result.report
 
@@ -478,9 +452,6 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     if args.metrics_out is not None:
         _write_metrics(args.metrics_out, json.dumps(snapshot, indent=2))
         _say(args, f"wrote metrics to {args.metrics_out}")
-    if args.prom_out is not None:
-        obs.write_textfile(args.prom_out, snapshot)
-        _say(args, f"wrote OpenMetrics textfile to {args.prom_out}")
     return 0
 
 
@@ -524,7 +495,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             print(f"no trips in {args.input}", file=sys.stderr)
             return 1
     run_ctx = obs.RunContext.create()
-    journal, profiler = _start_instruments(
+    journal = _open_journal(
         args, run_ctx, "study", journal_default=out / "events.jsonl"
     )
     status = "error"
@@ -540,9 +511,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(f"quarantine records in {errors_path}", file=sys.stderr)
         return 1
     finally:
-        _stop_instruments(
-            args, journal, profiler, status, profile_default=out / "profile.txt"
-        )
+        _close_journal(args, journal, status)
 
     def save(name: str, text: str) -> None:
         (out / name).write_text(text + "\n")
@@ -572,9 +541,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     quarantine.write_jsonl(errors_path)
     if args.metrics_out is not None:
         _write_metrics(args.metrics_out, metrics_json)
-    if args.prom_out is not None:
-        obs.write_textfile(args.prom_out, result.metrics)
-        _say(args, f"wrote OpenMetrics textfile to {args.prom_out}")
     if args.svg:
         from repro.experiments.svgmap import (
             render_fig3_svg,
@@ -634,7 +600,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     errors_path: Path = args.errors_out or (out / "errors.jsonl")
     run_ctx = obs.RunContext.create()
-    journal, profiler = _start_instruments(
+    journal = _open_journal(
         args, run_ctx, "serve", journal_default=out / "events.jsonl"
     )
     status = "error"
@@ -650,9 +616,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"quarantine records in {errors_path}", file=sys.stderr)
         return 1
     finally:
-        _stop_instruments(
-            args, journal, profiler, status, profile_default=out / "profile.txt"
-        )
+        _close_journal(args, journal, status)
 
     def save(name: str, text: str) -> None:
         (out / name).write_text(text + "\n")
@@ -678,9 +642,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     quarantine.write_jsonl(errors_path)
     if args.metrics_out is not None:
         _write_metrics(args.metrics_out, metrics_json)
-    if args.prom_out is not None:
-        obs.write_textfile(args.prom_out, result.metrics)
-        _say(args, f"wrote OpenMetrics textfile to {args.prom_out}")
     verdict = f"{len(result.errors)} quarantined" if result.errors else "no errors"
     _say(args, f"stream drained: {result.rows_ingested} rows, "
          f"{result.trips_seen} trips, {result.kept_count} kept transitions; "
@@ -700,7 +661,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             faults=_fault_plan(args),
         )
     run_ctx = obs.RunContext.create()
-    journal, profiler = _start_instruments(args, run_ctx, "report")
+    journal = _open_journal(args, run_ctx, "report")
     status = "error"
     try:
         with obs.use_journal(journal or obs.Journal()):
@@ -714,10 +675,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"repro report: {exc}", file=sys.stderr)
         return 1
     finally:
-        _stop_instruments(args, journal, profiler, status)
-    if args.prom_out is not None:
-        obs.write_textfile(args.prom_out, result.metrics)
-        _say(args, f"wrote OpenMetrics textfile to {args.prom_out}")
+        _close_journal(args, journal, status)
     text = study_report(result)
     args.out.write_text(text)
     _say(args, f"wrote {args.out} ({len(text.splitlines())} lines)")
@@ -763,23 +721,21 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.obs_command == "diff":
         _require_inputs(args.run_a, args.run_b)
-    else:
-        _require_inputs(args.journal)
+        result = obs_report.diff_runs(args.run_a, args.run_b)
+        print("\n".join(result.lines))
+        return 1 if result.divergent else 0
+    journal = args.journal
+    if journal.is_dir():  # a run directory, as ``diff`` takes
+        journal = journal / "events.jsonl"
+    _require_inputs(journal)
     if args.obs_command == "report":
-        events, metrics = obs_report.load_run(args.journal)
+        events, metrics = obs_report.load_run(journal)
         print(obs_report.render_report(events, metrics, top=args.top))
-        return 0
-    if args.obs_command == "tail":
-        print(obs_report.render_tail(obs.read_journal(args.journal),
-                                     n=args.lines))
-        return 0
-    if args.obs_command == "trip":
-        print(obs_report.render_trip(obs.read_journal(args.journal),
-                                     args.unit_id))
-        return 0
-    result = obs_report.diff_runs(args.run_a, args.run_b)
-    print("\n".join(result.lines))
-    return 1 if result.divergent else 0
+    elif args.obs_command == "tail":
+        print(obs_report.render_tail(obs.read_journal(journal), n=args.lines))
+    else:
+        print(obs_report.render_trip(obs.read_journal(journal), args.unit_id))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

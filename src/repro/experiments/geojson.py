@@ -2,21 +2,19 @@
 
 Everything the paper visualises in QGIS can be exported as standard
 GeoJSON FeatureCollections (WGS84, RFC 7946): the road network, gates,
-raw and matched trips, hotspots and per-cell values — ready for any GIS
-or web map.  Pure-dict output; serialise with ``json.dumps``.
+matched routes and per-cell values — ready for any GIS or web map.
+Pure-dict output; serialise with ``json.dumps``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.analysis.hotspots import Hotspot
 from repro.experiments.study import StudyResult
 from repro.geo.geometry import LineString
 from repro.geo.projection import LocalProjector
 from repro.matching.types import MatchedRoute
 from repro.roadnet.graph import RoadGraph
-from repro.traces.model import Trip
 
 
 def feature(geometry: dict, properties: dict | None = None) -> dict:
@@ -41,10 +39,6 @@ def _line_coords(line: LineString, projector: LocalProjector) -> list[list[float
     return out
 
 
-def point_geometry(lat: float, lon: float) -> dict:
-    return {"type": "Point", "coordinates": [round(lon, 6), round(lat, 6)]}
-
-
 def road_network_geojson(graph: RoadGraph, projector: LocalProjector) -> dict:
     """The road graph as LineString features with edge attributes."""
     features = []
@@ -65,21 +59,6 @@ def road_network_geojson(graph: RoadGraph, projector: LocalProjector) -> dict:
             )
         )
     return collection(features)
-
-
-def trip_geojson(trip: Trip) -> dict:
-    """A raw trip as a LineString plus per-point timestamps."""
-    coords = [[round(p.lon, 6), round(p.lat, 6)] for p in trip.points]
-    return feature(
-        {"type": "LineString", "coordinates": coords},
-        {
-            "trip_id": trip.trip_id,
-            "car_id": trip.car_id,
-            "start_time_s": trip.start_time_s,
-            "total_distance_m": round(trip.total_distance_m, 1),
-            "point_count": len(trip),
-        },
-    )
 
 
 def matched_route_geojson(
@@ -105,25 +84,6 @@ def matched_route_geojson(
             "gaps_filled": route.gaps_filled,
         },
     )
-
-
-def hotspots_geojson(hotspots: list[Hotspot], projector: LocalProjector) -> dict:
-    """Detected hotspots as Point features sized by event count."""
-    features = []
-    for rank, h in enumerate(hotspots, start=1):
-        lat, lon = projector.to_latlon(*h.centroid)
-        features.append(
-            feature(
-                point_geometry(lat, lon),
-                {
-                    "rank": rank,
-                    "events": h.n_events,
-                    "cars": h.n_cars,
-                    "dwell_hours": round(h.total_dwell_s / 3600.0, 2),
-                },
-            )
-        )
-    return collection(features)
 
 
 def study_geojson(result: StudyResult, max_routes: int = 50) -> dict[str, Any]:

@@ -128,10 +128,13 @@ class Quarantine:
                 row=error.row,
                 fault_tag=error.fault_tag,
             )
-        _log.warning(
+        _log.info(
             "unit quarantined",
             extra={"stage": error.stage, "kind": error.kind,
-                   "fault_tag": error.fault_tag or "organic"},
+                   "fault_tag": error.fault_tag or "organic",
+                   "trip_id": error.trip_id, "segment_id": error.segment_id,
+                   "transition_index": error.transition_index,
+                   "row": error.row},
         )
 
     def extend(self, errors: list[TripError]) -> None:

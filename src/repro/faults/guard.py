@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 from repro.faults.errors import TripError
 from repro.faults import injector
-from repro.obs import get_journal, get_logger, get_registry
-
-_log = get_logger(__name__)
+from repro.obs import get_journal, get_registry
 
 #: Exception types treated as transient (retried) even without an
 #: explicit ``transient`` attribute.  Injected timeouts are TimeoutError
@@ -77,7 +75,10 @@ def guarded_call(
     Returns ``(result, None)`` on success or ``(None, TripError)`` when
     the unit fails after bounded retries.  Only transient exceptions are
     retried; everything else quarantines immediately (replaying a
-    deterministic failure is wasted work).
+    deterministic failure is wasted work).  The guard does not log the
+    failure: every caller's fold passes the error to
+    :meth:`~repro.faults.errors.Quarantine.add`, which logs and journals
+    it once, in the parent process for pooled work too.
     """
     registry = get_registry()
     last_exc: BaseException | None = None
@@ -113,16 +114,10 @@ def guarded_call(
             return result, None
         finally:
             injector.exit_guard()
-    error = TripError.from_exception(
+    return None, TripError.from_exception(
         stage,
         last_exc,
         trip_id=trip_id,
         segment_id=segment_id,
         transition_index=transition_index,
     )
-    _log.warning(
-        "unit failed inside guard",
-        extra={"stage": stage, "kind": error.kind,
-               "fault_tag": error.fault_tag or "organic"},
-    )
-    return None, error

@@ -121,7 +121,7 @@ def maybe_inject(stage: str, key: object, require_guard: bool = False) -> None:
         journal.emit(
             "fault_injected", stage=stage, key=repr(key), transient=transient
         )
-    _log.warning(
+    _log.info(
         "fault injected",
         extra={"stage": stage, "key": repr(key), "transient": transient},
     )

@@ -97,10 +97,6 @@ class GridAccumulator:
         """Raw speed observations of one cell."""
         return list(self._speeds.get(key, ()))
 
-    def cell_means(self) -> dict[CellKey, float]:
-        """Average point speed per cell."""
-        return {key: stats.mean for key, stats in self._cells.items()}
-
     def __len__(self) -> int:
         return len(self._cells)
 

@@ -36,8 +36,6 @@ from repro.geo.index import GridIndex
 from repro.geo.polygon import Polygon, ThickLine
 from repro.geo.projection import LocalProjector, TransverseMercator
 from repro.geo.vector import (
-    bearing_deg_vec,
-    equirectangular_m_vec,
     gap_metrics,
     haversine_m_vec,
     project_onto_segments,
@@ -53,10 +51,8 @@ __all__ = [
     "TransverseMercator",
     "angle_between_deg",
     "bearing_deg",
-    "bearing_deg_vec",
     "destination_point",
     "equirectangular_m",
-    "equirectangular_m_vec",
     "gap_metrics",
     "haversine_m",
     "haversine_m_vec",

@@ -214,14 +214,6 @@ class LineString:
             pts = [self.interpolate(arc_from), self.interpolate(arc_to)]
         return LineString(pts)
 
-    def resample(self, spacing: float) -> "LineString":
-        """Resample at roughly uniform ``spacing`` metres, keeping endpoints."""
-        if spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        n = max(1, int(math.ceil(self.length / spacing)))
-        arcs = np.linspace(0.0, self.length, n + 1)
-        return LineString([self.interpolate(float(s)) for s in arcs])
-
     def simplify(self, tolerance: float) -> "LineString":
         """Douglas-Peucker simplification within ``tolerance`` metres.
 

@@ -70,10 +70,6 @@ class GridIndex(Generic[T]):
         for key in self._keys_for_box(x_min, y_min, x_max, y_max):
             self._cells.setdefault(key, {})[item] = None
 
-    def insert_point(self, item: T, p: Point) -> None:
-        """Insert a degenerate (point) bounding box."""
-        self.insert(item, p[0], p[1], p[0], p[1])
-
     def remove(self, item: T) -> None:
         """Remove ``item``; raises KeyError if absent.  O(cells covered)."""
         box = self._boxes.pop(item)

@@ -9,7 +9,6 @@ test used for the "within city centre" filter.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 from repro.geo.geometry import LineString, Point, crossing_angle_deg
@@ -148,48 +147,3 @@ class ThickLine:
     def __repr__(self) -> str:
         return f"ThickLine({self.line!r}, half_width={self.half_width:.1f})"
 
-
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Andrew's monotone-chain convex hull (counter-clockwise)."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o: Point, a: Point, b: Point) -> float:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def polygon_from_hull(points: Iterable[Point], pad: float = 0.0) -> Polygon:
-    """Convex hull polygon of ``points``, optionally padded outward.
-
-    Padding moves each hull vertex away from the centroid by ``pad`` metres;
-    a cheap approximation of a buffer, adequate for area-of-interest tests.
-    """
-    hull = convex_hull(points)
-    if len(hull) < 3:
-        raise ValueError("need at least three non-collinear points")
-    if pad <= 0.0:
-        return Polygon(hull)
-    cx = sum(p[0] for p in hull) / len(hull)
-    cy = sum(p[1] for p in hull) / len(hull)
-    padded = []
-    for x, y in hull:
-        d = math.hypot(x - cx, y - cy)
-        if d == 0.0:
-            padded.append((x, y))
-        else:
-            s = (d + pad) / d
-            padded.append((cx + (x - cx) * s, cy + (y - cy) * s))
-    return Polygon(padded)

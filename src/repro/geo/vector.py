@@ -7,9 +7,9 @@ functions stay the reference implementations; every kernel here applies
 the batch results agree with the scalar path to the last few ulps (the
 property the vectorized-pipeline equivalence tests pin down).
 
-Used by the cleaning, gating and candidate-generation stages — per-gap
-trip geometry becomes a handful of array operations instead of one
-Python-level trig call per route-point pair.
+:mod:`repro.traces.arrays` builds a fleet's per-gap trip geometry from
+:func:`gap_metrics` and :func:`haversine_m_vec` — a handful of array
+operations instead of one Python-level trig call per route-point pair.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ def haversine_m_vec(lat1, lon1, lat2, lon2) -> np.ndarray:
     dlam = np.radians(lon2 - lon1)
     a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-
-
-def equirectangular_m_vec(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Batch :func:`repro.geo.distance.equirectangular_m` (broadcasting)."""
-    lat1, lon1, lat2, lon2 = _as_f64(lat1, lon1, lat2, lon2)
-    mean_phi = np.radians((lat1 + lat2) / 2.0)
-    x = np.radians(lon2 - lon1) * np.cos(mean_phi)
-    y = np.radians(lat2 - lat1)
-    return EARTH_RADIUS_M * np.hypot(x, y)
-
-
-def bearing_deg_vec(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Batch :func:`repro.geo.distance.bearing_deg`, degrees in [0, 360)."""
-    lat1, lon1, lat2, lon2 = _as_f64(lat1, lon1, lat2, lon2)
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dlam = np.radians(lon2 - lon1)
-    y = np.sin(dlam) * np.cos(phi2)
-    x = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlam)
-    return np.degrees(np.arctan2(y, x)) % 360.0
 
 
 def gap_metrics(

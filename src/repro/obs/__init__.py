@@ -13,9 +13,6 @@ data; this package makes those effects observable without a debugger:
   and the :class:`TraceCarrier` that ships it across process boundaries;
 * :mod:`repro.obs.journal` — durable append-only ``events.jsonl`` run
   journal (span events, lineage, quarantines, retries, restarts);
-* :mod:`repro.obs.export` — OpenMetrics textfile exporter;
-* :mod:`repro.obs.profile` — opt-in sampling profiler attributing wall
-  time to open spans (collapsed-stack output);
 * :mod:`repro.obs.report` — renderers behind the ``repro obs`` CLI.
 
 Typical orchestration::
@@ -33,13 +30,6 @@ Typical orchestration::
     print(registry.to_json())     # counters + histograms + stage tree
 """
 
-from repro.obs.export import (
-    lint_openmetrics,
-    metric_name,
-    to_openmetrics,
-    write_textfile,
-)
-from repro.obs.profile import SpanProfiler
 from repro.obs.context import (
     SCHEMA_VERSION,
     RunContext,
@@ -66,7 +56,6 @@ from repro.obs.journal import (
     lineage_records,
     read_journal,
     reconstruct_spans,
-    set_journal,
     structural_signature,
     use_journal,
 )
@@ -85,7 +74,6 @@ from repro.obs.tracing import (
     SpanRecord,
     current_span,
     reset_span_stack,
-    set_span_observer,
     span,
 )
 
@@ -101,7 +89,6 @@ __all__ = [
     "Journal",
     "MetricsRegistry",
     "RunContext",
-    "SpanProfiler",
     "SpanRecord",
     "TraceCarrier",
     "clear_journal",
@@ -115,8 +102,6 @@ __all__ = [
     "get_registry",
     "git_sha",
     "lineage_records",
-    "lint_openmetrics",
-    "metric_name",
     "new_run_id",
     "new_span_id",
     "read_journal",
@@ -125,18 +110,14 @@ __all__ = [
     "reset_span_stack",
     "reset_worker_state",
     "run_metadata",
-    "set_journal",
     "set_registry",
     "set_run_context",
-    "set_span_observer",
     "span",
     "structural_signature",
-    "to_openmetrics",
     "use_journal",
     "use_parent_span",
     "use_registry",
     "use_run_context",
-    "write_textfile",
 ]
 
 

@@ -188,11 +188,6 @@ def get_journal() -> Journal:
     return journal if journal is not None else NULL_JOURNAL
 
 
-def set_journal(journal: Journal | None) -> None:
-    """Bind ``journal`` as ambient for the current context (no scope)."""
-    _active_journal.set(journal)
-
-
 def clear_journal() -> None:
     """Drop any ambient binding (worker initialiser hook)."""
     _active_journal.set(None)

@@ -82,17 +82,6 @@ class _SpanStack(threading.local):
 
 _stack = _SpanStack()
 
-#: Optional profiler hook: an object with ``span_opened(name)`` /
-#: ``span_closed(name)`` methods, called from the opening thread for
-#: every span (stage and detail).  None when no profiler is attached.
-_span_observer = None
-
-
-def set_span_observer(observer) -> None:
-    """Install (or with ``None`` remove) the global span observer."""
-    global _span_observer
-    _span_observer = observer
-
 
 def current_span() -> SpanRecord | None:
     """The innermost open span of this thread, if any."""
@@ -162,9 +151,6 @@ class span:
                 )
         if not self.detail:
             _stack.stack.append(record)
-        observer = _span_observer
-        if observer is not None:
-            observer.span_opened(record.name)
         self.record = record
         self._t0 = time.perf_counter()
         return record
@@ -175,9 +161,6 @@ class span:
         record.duration_s = time.perf_counter() - self._t0
         registry = get_registry()
         registry.histogram(f"stage.{record.name}.seconds").observe(record.duration_s)
-        observer = _span_observer
-        if observer is not None:
-            observer.span_closed(record.name)
         journal = self._journal
         if journal is not None:
             if self.detail:

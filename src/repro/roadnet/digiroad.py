@@ -4,16 +4,15 @@
 attributes in insertion-ordered dicts, with a
 :class:`~repro.geo.index.GridIndex` over element and object geometry, and
 answers the queries the pipeline issues against PostGIS in the paper:
-elements near a point, the nearest element, point objects within a radius
-or along an element, and the speed limit at an arc position (segmented
-restrictions override the element default).
+elements near a point, the nearest element, point objects within a
+radius, and the speed limit at an arc position (segmented restrictions
+override the element default).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from typing import Any
 
 from repro.geo.geometry import Point
 from repro.geo.index import GridIndex
@@ -63,10 +62,6 @@ class MapDatabase:
         x, y = float(obj.position[0]), float(obj.position[1])
         self._object_index.insert(obj.object_id, x, y, x, y)
 
-    def add_point_objects(self, objects: Iterable[PointObject]) -> None:
-        for obj in objects:
-            self.add_point_object(obj)
-
     def add_segmented_attribute(self, attr: SegmentedAttribute) -> None:
         """Register a segmented line-like attribute row."""
         self.element(attr.element_id)  # validate the element exists
@@ -102,10 +97,6 @@ class MapDatabase:
 
     # -- point object access ----------------------------------------------------
 
-    def point_object(self, object_id: int) -> PointObject:
-        """Point object by id (KeyError if absent)."""
-        return self._objects[object_id]
-
     def point_objects(self, kind: PointObjectKind | None = None) -> list[PointObject]:
         """All point objects in insertion order, optionally one kind only."""
         return [o for o in self._objects.values() if kind is None or o.kind is kind]
@@ -119,15 +110,6 @@ class MapDatabase:
             o for o in near
             if math.hypot(o.position[0] - p[0], o.position[1] - p[1]) <= radius
             and (kind is None or o.kind is kind)
-        ]
-
-    def objects_on_element(
-        self, element_id: int, kind: PointObjectKind | None = None
-    ) -> list[PointObject]:
-        """Point objects attached to one traffic element."""
-        return [
-            o for o in self._objects.values()
-            if o.element_id == element_id and (kind is None or o.kind is kind)
         ]
 
     def count_objects(self, kind: PointObjectKind) -> int:
@@ -160,13 +142,6 @@ class MapDatabase:
         if limits:
             return min(limits)
         return element.speed_limit_kmh
-
-    def attribute_at(self, element_id: int, name: str, arc_m: float) -> Any | None:
-        """First segmented attribute value of ``name`` covering ``arc_m``."""
-        for attr in self.segmented_attributes(element_id, name):
-            if attr.covers(arc_m):
-                return attr.value
-        return None
 
 
 def _nearest(

@@ -282,25 +282,6 @@ class RoadGraph:
             out.append(near)
         return out
 
-    def nearest_edge(self, p: Point, max_radius: float = 500.0) -> RoadEdge | None:
-        """Closest edge to ``p`` within ``max_radius``, or None.
-
-        Expands the candidate radius geometrically so the exact nearest
-        edge is found even when the first ring of grid cells is empty.
-        """
-        radius = 50.0
-        while radius <= max_radius * 2.0:
-            candidates = self.edges_near(p, min(radius, max_radius))
-            if candidates:
-                best = min(candidates, key=lambda e: e.geometry.distance_to(p))
-                if best.geometry.distance_to(p) <= max_radius:
-                    return best
-                return None
-            if radius >= max_radius:
-                return None
-            radius *= 2.0
-        return None
-
     def nearest_node(self, p: Point) -> RoadNode | None:
         """Node closest to ``p`` (linear scan; nodes are few)."""
         if not self._nodes:

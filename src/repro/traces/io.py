@@ -183,7 +183,8 @@ def read_points_csv(
             quarantine.add(error)
     if quarantine.errors:
         _log.warning(
-            "rows quarantined during read",
+            "%d units quarantined during read of %s",
+            len(quarantine.errors), path,
             extra={"path": str(path), "errors": len(quarantine.errors)},
         )
     return FleetData(trips=sorted(trips.values(), key=lambda t: t.trip_id))
@@ -216,14 +217,3 @@ def write_trips_jsonl(fleet: FleetData, path: str | Path) -> int:
             count += 1
     return count
 
-
-def read_trips_jsonl(path: str | Path) -> list[dict]:
-    """Read trip header records (as dicts) from JSONL."""
-    path = Path(path)
-    out = []
-    with path.open() as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

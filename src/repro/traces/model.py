@@ -114,9 +114,6 @@ class FleetData:
 
     trips: list[Trip] = field(default_factory=list)
 
-    def trips_for_car(self, car_id: int) -> list[Trip]:
-        return [t for t in self.trips if t.car_id == car_id]
-
     def car_ids(self) -> list[int]:
         return sorted({t.car_id for t in self.trips})
 
@@ -135,10 +132,3 @@ def trip_distance_m(points: list[RoutePoint]) -> float:
         total += haversine_m(a.lat, a.lon, b.lat, b.lon)
     return total
 
-
-def reorder_points(points: list[RoutePoint], key: str) -> list[RoutePoint]:
-    """Points sorted by ``"point_id"`` or ``"time_s"`` (the two candidate
-    orderings the cleaning stage compares)."""
-    if key not in ("point_id", "time_s"):
-        raise ValueError("key must be 'point_id' or 'time_s'")
-    return sorted(points, key=lambda p: getattr(p, key))

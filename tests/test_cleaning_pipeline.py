@@ -34,11 +34,6 @@ class TestPipelineOnSimulatedFleet:
             times = [p.time_s for p in seg.points]
             assert times == sorted(times)
 
-    def test_segments_for_car(self, clean_result):
-        per_car = clean_result.segments_for_car(1)
-        assert per_car
-        assert all(s.car_id == 1 for s in per_car)
-
     def test_rule1_dominates_for_taxi_dwells(self, clean_result):
         hits = clean_result.report.segmentation.rule_hits
         assert hits[1] > hits[2] + hits[3] + hits[4]

@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
+import json
+import logging
+
 import pytest
 
 import repro.stream.checkpoint as checkpoint_module
 from repro.cli import main
 from repro.stream import CheckpointStore
+
+
+@pytest.fixture()
+def unconfigured_logging():
+    """Leave global logging unconfigured for subsequent tests."""
+    yield
+    root = logging.getLogger("repro")
+    root.handlers = []
+    root.setLevel(logging.NOTSET)
+    root.propagate = True
 
 
 class TestSimulate:
@@ -38,8 +51,6 @@ class TestClean:
         assert "Seconds" in out
 
     def test_metrics_out_writes_json(self, tmp_path, capsys):
-        import json
-
         points = tmp_path / "p.csv"
         metrics = tmp_path / "clean_metrics.json"
         assert main(["simulate", "--days", "1", "--seed", "3",
@@ -76,21 +87,13 @@ class TestStudy:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_metrics_out_and_log_level(self, tmp_path, capsys):
-        import json
-        import logging
-
+    def test_metrics_out_and_log_level(self, tmp_path, capsys, unconfigured_logging):
         out = tmp_path / "study"
         metrics = tmp_path / "m.json"
         code = main([
             "study", "--days", "4", "--seed", "9", "--out", str(out),
             "--metrics-out", str(metrics), "--log-level", "INFO",
         ])
-        # Leave global logging unconfigured for subsequent tests.
-        root = logging.getLogger("repro")
-        root.handlers = []
-        root.setLevel(logging.NOTSET)
-        root.propagate = True
         assert code == 0
         # Always written next to the tables, and to --metrics-out.
         assert (out / "metrics.json").exists()
@@ -114,8 +117,6 @@ class TestStudy:
 
 class TestStudyGeojson:
     def test_geojson_exports(self, tmp_path):
-        import json
-
         out = tmp_path / "study"
         assert main(["study", "--days", "8", "--seed", "9",
                      "--out", str(out), "--geojson"]) == 0
@@ -125,6 +126,77 @@ class TestStudyGeojson:
             fc = json.loads(path.read_text())
             assert fc["type"] == "FeatureCollection"
 
+
+
+#: A seeded routing-fault plan that quarantines a handful of the 6-day
+#: study's transitions (match stage) while most survive.
+_FAULT_PLAN = '{"seed": 101, "route_error_rate": 0.2, "transient_rate": 0.3}'
+
+
+def _faulted_study(tmp_path, *flags):
+    """Run the faulted 6-day study into ``tmp_path/out``; its records."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(_FAULT_PLAN)
+    out = tmp_path / "out"
+    assert main([
+        "study", "--days", "6", "--seed", "7", "--out", str(out),
+        "--max-error-rate", "1.0", "--fault-plan", str(plan), *flags,
+    ]) == 0
+    lines = (out / "errors.jsonl").read_text().splitlines()
+    errors = [json.loads(line) for line in lines]
+    assert errors, "the fault plan must quarantine at least one unit"
+    return out, errors
+
+
+class TestQuarantineLogging:
+    """A quarantined unit is recorded in errors.jsonl and the journal;
+    it reaches stderr only when logging was asked for."""
+
+    IDS = ("stage", "kind", "trip_id", "segment_id", "transition_index", "row")
+
+    def test_quiet_run_prints_no_per_unit_line(self, tmp_path, capsys, monkeypatch):
+        # As in a plain ``repro`` process, no handler sees the records, so
+        # anything at WARNING or above would reach logging's last-resort
+        # handler on stderr.
+        root = logging.getLogger("repro")
+        monkeypatch.setattr(root, "handlers", [])
+        monkeypatch.setattr(root, "propagate", False)
+        _faulted_study(tmp_path, "--quiet")
+        assert capsys.readouterr().err == ""
+
+    def test_json_log_has_one_line_per_record(
+        self, tmp_path, capsys, unconfigured_logging
+    ):
+        __, errors = _faulted_study(
+            tmp_path, "--quiet", "--log-json", "--log-level", "INFO"
+        )
+        logs = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        logged = [
+            {key: log[key] for key in self.IDS}
+            for log in logs if log["event"] == "unit quarantined"
+        ]
+        assert logged == [{key: e[key] for key in self.IDS} for e in errors]
+
+
+class TestObsRunDirectory:
+    """``repro obs report|tail|trip`` read a run directory's journal."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out, __ = _faulted_study(tmp_path_factory.mktemp("obs_run"), "--quiet")
+        return out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("report", []), ("tail", ["-n", "5"]), ("trip", ["1"]),
+    ])
+    def test_directory_means_its_events_jsonl(
+        self, run_dir, command, extra, capsys
+    ):
+        assert main(["obs", command, str(run_dir / "events.jsonl"), *extra]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["obs", command, str(run_dir), *extra]) == 0
+        assert capsys.readouterr().out == from_file
+        assert from_file.strip()
 
 
 class TestBadFlagValues:
@@ -180,6 +252,12 @@ class TestBadFlagValues:
          "repro serve: checkpoint schema 1 != "
          f"{checkpoint_module.CHECKPOINT_SCHEMA_VERSION} "
          "(incompatible checkpoint dir)"),
+        (["obs", "report", "RUN"],
+         "repro obs: no such file or directory: RUN/events.jsonl"),
+        (["obs", "tail", "RUN"],
+         "repro obs: no such file or directory: RUN/events.jsonl"),
+        (["obs", "trip", "RUN", "1"],
+         "repro obs: no such file or directory: RUN/events.jsonl"),
     ])
     def test_reported_in_one_line_with_exit_2(
         self, argv, message, tmp_path, monkeypatch, capsys
@@ -198,13 +276,22 @@ class TestBadFlagValues:
         ["study", "--days", "2", "--chunk-size", "4"],
         ["report", "--days", "2", "--chunk-size", "4"],
         ["serve", "--input", "POINTS", "--live-match"],
+        *(
+            [*command, *flag]
+            for command in (["clean", "POINTS"], ["study", "--days", "2"],
+                            ["serve", "--input", "POINTS"],
+                            ["report", "--days", "2"])
+            for flag in (["--prom-out", "m.prom"], ["--profile"],
+                         ["--profile-out", "profile.txt"])
+        ),
     ])
     def test_removed_flag_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         """Flags that chose nothing (cleaning never routes or pools, the
         stream folds serially, chunking never changed an output, the
         live matcher reached no artefact, routes come from the graph's
-        own shortest-path trees) are gone: passing one is a usage error,
-        not a silent no-op."""
+        own shortest-path trees) or fed an output nothing reads (the
+        OpenMetrics textfile, the span profile) are gone: passing one is
+        a usage error, not a silent no-op."""
         flag = max(i for i, arg in enumerate(argv) if arg.startswith("--"))
         message = f"repro: error: unrecognized arguments: {' '.join(argv[flag:])}"
         self._check_exit_2(argv, message, tmp_path, monkeypatch, capsys)
@@ -216,6 +303,7 @@ class TestBadFlagValues:
             "car_id,point_id,trip_id,lat,lon,time_s,speed_kmh,fuel_ml\n"
         )
         (tmp_path / "PLAN").write_text('{"kill_chunk": {"mach": 0}}')
+        (tmp_path / "RUN").mkdir()  # a run directory without a journal
         # A checkpoint written under another configuration, and one of an
         # older checkpoint schema: resuming from either is refused.
         checkpoint = {"fingerprint": "another configuration",

@@ -4,13 +4,10 @@ import json
 
 import pytest
 
-from repro.analysis import detect_hotspots, extract_dwells
 from repro.experiments.geojson import (
-    hotspots_geojson,
     matched_route_geojson,
     road_network_geojson,
     study_geojson,
-    trip_geojson,
 )
 from repro.matching.types import MatchedRoute
 
@@ -41,11 +38,6 @@ class TestRoadNetwork:
 
 
 class TestTripsAndRoutes:
-    def test_trip_feature(self, fleet):
-        f = trip_geojson(fleet.trips[0])
-        assert f["geometry"]["type"] == "LineString"
-        assert f["properties"]["point_count"] == len(fleet.trips[0])
-
     def test_matched_route_feature(self, study_result):
         __, route = study_result.kept()[0]
         f = matched_route_geojson(route, study_result.city.graph,
@@ -72,16 +64,6 @@ class TestTripsAndRoutes:
 
 
 class TestHotspotsAndStudy:
-    def test_hotspots_collection(self, fleet, city):
-        dwells = extract_dwells(
-            fleet, lambda p: city.projector.to_xy(p.lat, p.lon)
-        )
-        hotspots = detect_hotspots(dwells, eps=180.0, min_pts=6)
-        fc = hotspots_geojson(hotspots, city.projector)
-        assert_valid_collection(fc)
-        assert len(fc["features"]) == len(hotspots)
-        assert fc["features"][0]["properties"]["rank"] == 1
-
     def test_study_bundle(self, study_result):
         bundle = study_geojson(study_result, max_routes=5)
         assert set(bundle) == {"roads", "gates", "routes", "cells"}

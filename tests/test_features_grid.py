@@ -65,7 +65,7 @@ class TestGridAccumulator:
         grid.add_point((150.0, 10.0), 50.0)
         assert len(grid) == 2
         assert grid.point_count == 3
-        assert grid.cell_means()[(0, 0)] == pytest.approx(35.0)
+        assert grid.cells()[(0, 0)].mean == pytest.approx(35.0)
 
     def test_speeds_raw_access(self):
         grid = GridAccumulator(GridSpec(100.0))

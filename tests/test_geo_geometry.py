@@ -135,11 +135,6 @@ class TestLineString:
         with pytest.raises(ValueError):
             self.ls.substring(150.0, 50.0)
 
-    def test_resample_spacing(self):
-        res = self.ls.resample(10.0)
-        assert res.length == pytest.approx(self.ls.length, rel=1e-6)
-        assert len(res) == 21
-
     def test_concat_drops_duplicate_joint(self):
         a = LineString([(0, 0), (10, 0)])
         b = LineString([(10, 0), (20, 0)])

@@ -17,8 +17,8 @@ class TestGridIndexBasics:
 
     def test_insert_and_len(self):
         idx = GridIndex(100.0)
-        idx.insert_point("a", (10.0, 10.0))
-        idx.insert_point("b", (500.0, 500.0))
+        idx.insert("a", 10.0, 10.0, 10.0, 10.0)
+        idx.insert("b", 500.0, 500.0, 500.0, 500.0)
         assert len(idx) == 2
         assert "a" in idx
 
@@ -29,15 +29,15 @@ class TestGridIndexBasics:
 
     def test_reinsert_replaces(self):
         idx = GridIndex(100.0)
-        idx.insert_point("a", (10.0, 10.0))
-        idx.insert_point("a", (900.0, 900.0))
+        idx.insert("a", 10.0, 10.0, 10.0, 10.0)
+        idx.insert("a", 900.0, 900.0, 900.0, 900.0)
         assert len(idx) == 1
         assert idx.query_radius((10.0, 10.0), 50.0) == []
         assert idx.query_radius((900.0, 900.0), 50.0) == ["a"]
 
     def test_remove(self):
         idx = GridIndex(100.0)
-        idx.insert_point("a", (10.0, 10.0))
+        idx.insert("a", 10.0, 10.0, 10.0, 10.0)
         idx.remove("a")
         assert len(idx) == 0
         with pytest.raises(KeyError):
@@ -72,7 +72,8 @@ class TestGridIndexBasics:
                 victim = alive.pop(rng.randrange(len(alive)))
                 idx.remove(victim)
             else:
-                idx.insert_point(step, (rng.uniform(0.0, 90.0), rng.uniform(0.0, 90.0)))
+                x, y = rng.uniform(0.0, 90.0), rng.uniform(0.0, 90.0)
+                idx.insert(step, x, y, x, y)
                 alive.append(step)
         assert len(idx) == len(alive)
         assert idx.query_box(0.0, 0.0, 90.0, 90.0) == alive
@@ -94,7 +95,7 @@ class TestAgainstBruteForce:
         for i in range(60):
             p = (rng.uniform(-500, 500), rng.uniform(-500, 500))
             points[i] = p
-            idx.insert_point(i, p)
+            idx.insert(i, p[0], p[1], p[0], p[1])
         centre = (rng.uniform(-500, 500), rng.uniform(-500, 500))
         radius = rng.uniform(10, 300)
         got = set(idx.query_radius(centre, radius))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.geometry import LineString
-from repro.geo.polygon import Polygon, ThickLine, convex_hull, polygon_from_hull
+from repro.geo.polygon import Polygon, ThickLine
 from tests.oracles.simulator import crossed_by as reference_crossed_by
 
 
@@ -165,24 +165,3 @@ class TestCrossedByReference:
             gate, a, b, min_angle, 90.0
         )
 
-
-class TestConvexHull:
-    def test_square_hull(self):
-        pts = [(0, 0), (10, 0), (10, 10), (0, 10), (5, 5), (2, 3)]
-        hull = convex_hull(pts)
-        assert sorted(hull) == [(0, 0), (0, 10), (10, 0), (10, 10)]
-
-    def test_collinear_points(self):
-        hull = convex_hull([(0, 0), (5, 0), (10, 0)])
-        assert len(hull) <= 3
-
-    def test_polygon_from_hull_contains_inputs(self):
-        pts = [(0, 0), (10, 0), (10, 10), (0, 10)]
-        poly = polygon_from_hull(pts, pad=1.0)
-        assert poly.contains((5.0, 5.0))
-        # Padding pushes the boundary outward past the original corners.
-        assert poly.contains((10.2, 10.2))
-
-    def test_polygon_from_hull_needs_noncollinear(self):
-        with pytest.raises(ValueError):
-            polygon_from_hull([(0, 0), (1, 0), (2, 0)])

@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 
 from repro.geo.distance import (
     EARTH_RADIUS_M,
-    bearing_deg,
     destination_point,
-    equirectangular_m,
     haversine_m,
 )
 from repro.geo.geometry import project_point_to_segment
 from repro.geo.vector import (
-    bearing_deg_vec,
-    equirectangular_m_vec,
     gap_metrics,
     haversine_m_vec,
     project_onto_segments,
@@ -62,31 +58,6 @@ class TestHaversineVec:
 
     def test_zero_distance(self):
         assert float(haversine_m_vec(65.0, 25.4, 65.0, 25.4)) == 0.0
-
-
-class TestEquirectangularVec:
-    @given(lat1=lat_st, lon1=lon_st, lat2=lat_st, lon2=lon_st)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_scalar(self, lat1, lon1, lat2, lon2):
-        scalar = equirectangular_m(lat1, lon1, lat2, lon2)
-        batch = float(equirectangular_m_vec(lat1, lon1, lat2, lon2))
-        # Same formula and op order; np.cos may differ from libm by 1 ulp.
-        assert batch == pytest.approx(scalar, rel=1e-12, abs=1e-9)
-
-
-class TestBearingVec:
-    @given(lat1=lat_st, lon1=lon_st, lat2=lat_st, lon2=lon_st)
-    @settings(max_examples=200, deadline=None)
-    def test_agrees_with_scalar(self, lat1, lon1, lat2, lon2):
-        scalar = bearing_deg(lat1, lon1, lat2, lon2)
-        batch = float(bearing_deg_vec(lat1, lon1, lat2, lon2))
-        # Compare as angles: 0 and 360 are the same bearing.
-        delta = abs(batch - scalar)
-        assert min(delta, 360.0 - delta) < 1e-9
-
-    def test_cardinal_directions(self):
-        assert float(bearing_deg_vec(65.0, 25.0, 66.0, 25.0)) == pytest.approx(0.0, abs=1e-9)
-        assert float(bearing_deg_vec(65.0, 25.0, 64.0, 25.0)) == pytest.approx(180.0, abs=1e-9)
 
 
 class TestDestinationPointNormalization:

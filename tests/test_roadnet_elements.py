@@ -173,13 +173,6 @@ class TestMapDatabase:
         found = self.db.objects_near((0.0, 0.0), 50.0)
         assert [o.object_id for o in found] == [1, 2]
 
-    def test_objects_on_element(self):
-        self.db.add_point_object(
-            PointObject(1, PointObjectKind.TRAFFIC_LIGHT, (50.0, 0.0), element_id=1)
-        )
-        assert len(self.db.objects_on_element(1)) == 1
-        assert self.db.objects_on_element(2) == []
-
     def test_speed_limit_default(self):
         assert self.db.speed_limit_at(1, 50.0) == 40.0
 
@@ -204,13 +197,6 @@ class TestMapDatabase:
             self.db.add_segmented_attribute(
                 SegmentedAttribute(99, "speed_limit", 0.0, 10.0, 30.0)
             )
-
-    def test_attribute_at(self):
-        self.db.add_segmented_attribute(
-            SegmentedAttribute(1, "road_address", 0.0, 100.0, "Kirkkokatu 1-20")
-        )
-        assert self.db.attribute_at(1, "road_address", 5.0) == "Kirkkokatu 1-20"
-        assert self.db.attribute_at(1, "road_address", 150.0) is None
 
     def test_feature_census(self):
         self.db.add_point_object(

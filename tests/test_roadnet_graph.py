@@ -126,13 +126,6 @@ class TestSpatialQueries:
         hits = graph.edges_near((50.0, 5.0), 10.0)
         assert [e.edge_id for e in hits] == [1]
 
-    def test_nearest_edge(self, graph):
-        assert graph.nearest_edge((50.0, 30.0)).edge_id == 1
-        assert graph.nearest_edge((102.0, 50.0)).edge_id == 2
-
-    def test_nearest_edge_radius_limit(self, graph):
-        assert graph.nearest_edge((50.0, 5000.0), max_radius=100.0) is None
-
     def test_nearest_node(self, graph):
         assert graph.nearest_node((90.0, 10.0)).node_id == 2
         assert RoadGraph().nearest_node((0.0, 0.0)) is None

@@ -1,10 +1,11 @@
 """Tests for repro.traces.io."""
 
+import json
+
 import pytest
 
 from repro.traces.io import (
     read_points_csv,
-    read_trips_jsonl,
     write_points_csv,
     write_trips_jsonl,
 )
@@ -49,16 +50,11 @@ class TestTripsJsonl:
         path = tmp_path / "trips.jsonl"
         n = write_trips_jsonl(small_fleet, path)
         assert n == 2
-        records = read_trips_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == 2
         assert records[0]["trip_id"] == 1
         assert records[0]["point_count"] == 5
         assert records[0]["total_fuel_ml"] == pytest.approx(4 * 3.3)
-
-    def test_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "trips.jsonl"
-        path.write_text('{"trip_id": 1}\n\n{"trip_id": 2}\n')
-        assert [r["trip_id"] for r in read_trips_jsonl(path)] == [1, 2]
 
 
 class TestFleetRoundtrip:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geo.distance import haversine_m
-from repro.traces.model import FleetData, RoutePoint, Trip, reorder_points, trip_distance_m
+from repro.traces.model import FleetData, RoutePoint, Trip, trip_distance_m
 
 
 def pt(i, lat, lon, t, speed=30.0, fuel=0.0):
@@ -65,22 +65,6 @@ class TestTrip:
         assert shorter.trip_id == trip.trip_id
 
 
-class TestReorderPoints:
-    def test_by_id_and_time(self):
-        points = [
-            pt(2, 65.0, 25.0, 10.0),
-            pt(1, 65.0, 25.0, 20.0),
-        ]
-        by_id = reorder_points(points, "point_id")
-        assert [p.point_id for p in by_id] == [1, 2]
-        by_time = reorder_points(points, "time_s")
-        assert [p.time_s for p in by_time] == [10.0, 20.0]
-
-    def test_invalid_key(self):
-        with pytest.raises(ValueError):
-            reorder_points([], "speed_kmh")
-
-
 class TestFleetData:
     def test_grouping(self):
         fleet = FleetData(trips=[
@@ -90,7 +74,6 @@ class TestFleetData:
         ])
         assert len(fleet) == 3
         assert fleet.car_ids() == [1, 2]
-        assert len(fleet.trips_for_car(1)) == 2
         assert fleet.point_count == 1
 
 

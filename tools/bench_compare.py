@@ -45,7 +45,7 @@ RATIO_GATES = [
         "limit": 1.03,
     },
     {
-        "name": "journal+export overhead",
+        "name": "journal overhead",
         "bench": "test_perf_study_journaled",
         "key": "journal_overhead",
         "limit": 1.03,
