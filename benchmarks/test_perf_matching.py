@@ -1,8 +1,8 @@
 """Engineering benches: map-matching throughput, incremental vs HMM.
 
 ``test_perf_hmm_matcher`` times the Viterbi decode alone (NumPy forward
-pass + one batched transition-distance query per trip, a fresh route
-cache per sweep) over pre-built candidate layers; candidate generation
+pass + one gather of transition distances per trip) over pre-built
+candidate layers and transition plans; candidate generation, the plans
 and gap filling are excluded from the measurement.
 """
 
@@ -12,8 +12,8 @@ import pytest
 
 from repro.matching import HmmMatcher, IncrementalMatcher
 from repro.matching.candidates import candidates_for_points
-from repro.matching.hmm import _collect_transition_pairs
-from repro.matching.types import edge_entries, edge_exits, movement_directions
+from repro.matching.hmm import transition_plan
+from repro.matching.types import movement_directions
 
 
 def _segments(bench_study, n):
@@ -26,7 +26,7 @@ def hmm_decode_workload(bench_study):
 
     Mirrors :meth:`HmmMatcher.match` up to the decoder call: candidate
     layers (empty layers dropped), straight-line distances, transition
-    caps, and the trip's batched query set.
+    caps, and the trip's transition plan.
     """
     city = bench_study.city
     projector = city.projector
@@ -56,16 +56,8 @@ def hmm_decode_workload(bench_study):
             max(300.0, s * matcher.config.max_network_factor)
             for s in straights
         ]
-        exits_per = [[edge_exits(c.edge) for c in layer] for layer in layers]
-        entries_per = [
-            [edge_entries(c.edge) for c in layer] for layer in layers
-        ]
-        pairs, source_caps, __ = _collect_transition_pairs(
-            layers, caps, exits_per, entries_per
-        )
         prepped.append(
-            (layers, straights, caps, pairs, source_caps, exits_per,
-             entries_per)
+            (layers, straights, caps, transition_plan(city.graph, layers))
         )
     assert len(prepped) >= 100  # the bench needs a real workload
     return city.graph, prepped

@@ -81,12 +81,14 @@ class EdgeArrays:
     a handful of array operations.  Values are byte-identical to what the
     per-edge :class:`~repro.geo.geometry.LineString` caches hold — the
     headings are normalised with ``math.hypot`` exactly as
-    ``LineString.heading_at`` does.
+    ``LineString.heading_at`` does.  Per-edge columns (one entry per
+    slot) hold each edge's endpoints ``u``/``v`` as dense node positions
+    (:attr:`RoadGraph.node_index`), its length and its one-way flags.
     """
 
     __slots__ = (
-        "edges", "slot_by_edge_id", "row_offset", "n_segs", "length",
-        "forward", "backward", "ax", "ay", "dx", "dy", "denom",
+        "edges", "slot_by_edge_id", "row_offset", "n_segs", "u", "v",
+        "length", "forward", "backward", "ax", "ay", "dx", "dy", "denom",
         "seg_cum0", "seg_len", "hx", "hy",
     )
 
@@ -101,6 +103,9 @@ class EdgeArrays:
         self.row_offset = np.zeros(n_edges, dtype=np.int64)
         if n_edges > 1:
             np.cumsum(self.n_segs[:-1], out=self.row_offset[1:])
+        index = graph.node_index
+        self.u = np.fromiter((index[e.u] for e in edges), dtype=np.intp, count=n_edges)
+        self.v = np.fromiter((index[e.v] for e in edges), dtype=np.intp, count=n_edges)
         self.length = np.fromiter(
             (e.geometry.length for e in edges), dtype=np.float64, count=n_edges
         )
@@ -278,32 +283,29 @@ def candidates_for_points(
     )
     orientation = np.where(have_movement[pair_point], orientation, 0.0)
 
-    # -- per-fix assembly, ranked by the same total-order key.  The
-    # distance score's pow runs per kept pair in Python: NumPy's SIMD
-    # pow kernel is 1 ulp off libm for ~5% of inputs, which would break
-    # bitwise score parity with the per-candidate reference (one pow per
-    # refined candidate either way).
-    pt_start = np.zeros(n_points + 1, dtype=np.int64)
-    np.cumsum(n_edges, out=pt_start[1:])
-    snapped_x = cx[best]
-    snapped_y = cy[best]
-    for j in range(n_points):
-        lo, hi = int(pt_start[j]), int(pt_start[j + 1])
-        cands = []
-        for k in range(lo, hi):
-            if not keep[k]:
-                continue
-            d = float(dist[k])
-            score = _distance_score(d, config) + float(orientation[k])
-            cands.append(
-                Candidate(
-                    edge=per_point[j][k - lo],
-                    arc_m=float(arc[k]),
-                    snapped_xy=(float(snapped_x[k]), float(snapped_y[k])),
-                    distance_m=d,
-                    score=score,
-                )
-            )
+    # -- per-fix assembly, ranked by the same total-order key, from the
+    # kept pairs' columns as plain Python floats.  The distance score's
+    # pow runs per kept pair in Python: NumPy's SIMD pow kernel is 1 ulp
+    # off libm for ~5% of inputs, which would break bitwise score parity
+    # with the per-candidate reference (one pow per refined candidate
+    # either way).
+    kept = np.flatnonzero(keep)
+    flat_edges = [e for lst in per_point for e in lst]
+    for k, j, d, a, x, y, o in zip(
+        kept.tolist(),
+        pair_point[kept].tolist(),
+        dist[kept].tolist(),
+        arc[kept].tolist(),
+        cx[best[kept]].tolist(),
+        cy[best[kept]].tolist(),
+        orientation[kept].tolist(),
+    ):
+        # Positional (edge, arc_m, snapped_xy, distance_m, score): keywords
+        # cost a third more per candidate.
+        out[j].append(
+            Candidate(flat_edges[k], a, (x, y), d, _distance_score(d, config) + o)
+        )
+    for cands in out:
         cands.sort(key=lambda c: (-c.score, c.edge.edge_id))
-        out[j] = cands[: config.max_candidates]
+        del cands[config.max_candidates:]
     return out

@@ -36,11 +36,12 @@ def truth_for_segment(runs: list[CustomerRun], segment: TripSegment) -> Customer
     """The same-car run overlapping a segment longest in time."""
     best: CustomerRun | None = None
     overlap = 0.0
+    start, end = segment.start_time_s, segment.end_time_s
     for run in runs:
         if run.car_id != segment.car_id:
             continue
-        lo = max(run.start_time_s, segment.start_time_s)
-        hi = min(run.end_time_s, segment.end_time_s)
+        lo = max(run.start_time_s, start)
+        hi = min(run.end_time_s, end)
         if hi - lo > overlap:
             overlap = hi - lo
             best = run
@@ -75,7 +76,12 @@ def evaluate_matcher(
     ``matcher`` is anything with the
     ``match(points, to_xy, segment_id, car_id)`` interface (incremental or
     HMM).  Segments without a paired run are matched but not scored.
+    Each segment's truth is looked up among its own car's runs, in their
+    original order.
     """
+    runs_by_car: dict[int, list[CustomerRun]] = {}
+    for run in runs:
+        runs_by_car.setdefault(run.car_id, []).append(run)
     n_matched = 0
     jaccards: list[float] = []
     length_errors: list[float] = []
@@ -87,7 +93,7 @@ def evaluate_matcher(
             continue
         n_matched += 1
         match_distances.append(route.mean_match_distance_m)
-        truth = truth_for_segment(runs, segment)
+        truth = truth_for_segment(runs_by_car.get(segment.car_id, []), segment)
         if truth is None:
             continue
         jaccards.append(edge_jaccard(route, truth))

@@ -9,11 +9,11 @@ benchmarked against (the paper's related work names exactly this family).
 Decoding is vectorized: per-layer emissions and ``(K_prev, K_cur)``
 transition matrices are NumPy arrays, the forward pass is a broadcast
 add plus per-layer ``argmax``, and every network distance the trip needs
-is resolved up front through one
-:meth:`~repro.roadnet.routing.RouteBatch.resolve_costs` call over the
-union of exit/entry endpoints, which reads each unique exit node's
-shortest-path tree (built once per graph) and keeps the costs within
-that node's transition cap.
+is one array gather
+(:meth:`~repro.roadnet.routing.RouteBatch.resolve_costs`) over the
+unique exit/entry endpoint pairs of a :class:`TransitionPlan`, which is
+built from per-edge columns: each exit node's costs are a dense row of
+its shortest-path tree (built once per graph).
 
 The result is bitwise-identical to a pure-Python forward pass running one
 capped Dijkstra per exit endpoint of every previous-layer candidate
@@ -23,7 +23,7 @@ within the transition cap (``max(300, straight * max_network_factor)``).
 A capped Dijkstra settles exactly one node beyond its budget and leaks
 tentative frontier labels, all provably ``> cap``, so masking
 ``through > cap`` makes the reachable set exactly ``{node: d* <= cap}``
-— computable from the batch's exact within-bound distances.  Float associativity is
+— computable from the trees' exact distances.  Float associativity is
 preserved term by term (``(d1 + through) + d2``, first-occurrence argmax
 ties).
 """
@@ -35,15 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.candidates import Candidate, CandidateConfig, candidates_for_points
-from repro.matching.gapfill import connect_matches
-from repro.matching.types import (
-    MatchedPoint,
-    MatchedRoute,
-    edge_entries,
-    edge_exits,
-    movement_directions,
+from repro.matching.candidates import (
+    Candidate,
+    CandidateConfig,
+    candidates_for_points,
+    edge_arrays_for,
 )
+from repro.matching.gapfill import connect_matches
+from repro.matching.types import MatchedPoint, MatchedRoute, movement_directions
 from repro.obs import get_journal, get_registry
 from repro.roadnet.graph import RoadGraph
 from repro.roadnet.routing import RouteBatch
@@ -115,25 +114,13 @@ class HmmMatcher:
             for i in range(1, n)
         ]
         caps = [max(300.0, s * self.config.max_network_factor) for s in straights]
-        exits_per = [[edge_exits(c.edge) for c in layer] for layer in layers]
-        entries_per = [[edge_entries(c.edge) for c in layer] for layer in layers]
-        pairs, source_caps, per_exit_searches = _collect_transition_pairs(
-            layers, caps, exits_per, entries_per
-        )
-        # Batching effectiveness, deterministic per trip (independent of
-        # cache state and scheduling): a per-transition decode runs one
-        # capped Dijkstra per exit endpoint of every previous-layer
-        # candidate per transition; the batched kernel needs at most one
-        # search per unique exit node of the whole trip.
-        avoided = per_exit_searches - len(source_caps)
+        plan = transition_plan(self.graph, layers)
+        pairs = len(plan.sources)
         registry = get_registry()
         registry.counter("matching.hmm_layers").inc(n)
-        registry.counter("matching.hmm_transition_pairs").inc(len(pairs))
-        registry.counter("matching.hmm_dijkstra_avoided").inc(avoided)
+        registry.counter("matching.hmm_transition_pairs").inc(pairs)
 
-        chosen, scores = self._viterbi(
-            layers, straights, caps, pairs, source_caps, exits_per, entries_per
-        )
+        chosen, scores = self._viterbi(layers, straights, caps, plan)
 
         journal = get_journal()
         if journal.enabled:
@@ -143,8 +130,7 @@ class HmmMatcher:
                 segment_id=segment_id,
                 car_id=car_id,
                 layers=n,
-                transition_pairs=len(pairs),
-                dijkstra_avoided=avoided,
+                transition_pairs=pairs,
             )
 
         matched = [
@@ -167,94 +153,36 @@ class HmmMatcher:
         layers: list[list[Candidate]],
         straights: list[float],
         caps: list[float],
-        pairs: list[tuple[int, int]],
-        source_caps: dict[int, float],
-        exits_per: list[list[list[int]]],
-        entries_per: list[list[list[int]]],
+        plan: TransitionPlan,
     ) -> tuple[list[int], list[float]]:
-        """NumPy forward pass over batched network distances."""
-        costs = RouteBatch(self.graph, "length").resolve_costs(pairs, source_caps)
-        # Dense cost table over the trip's unique exit/entry endpoints.
-        src_index: dict[int, int] = {}
-        tgt_index: dict[int, int] = {}
-        for s, t in pairs:
-            src_index.setdefault(s, len(src_index))
-            tgt_index.setdefault(t, len(tgt_index))
-        table = np.full(
-            (max(1, len(src_index)), max(1, len(tgt_index))), math.inf
-        )
-        for (s, t), cost in costs.items():
-            table[src_index[s], tgt_index[t]] = cost
+        """NumPy forward pass over one gather of network distances."""
+        through = np.full(plan.queried.shape, math.inf)
+        through[plan.queried] = RouteBatch(self.graph, "length").resolve_costs(
+            plan.sources, plan.targets
+        )[plan.inverse]
 
         n = len(layers)
         sizes = [len(layer) for layer in layers]
         kmax = max(sizes)
-        wide = 2 * kmax
-        # Padded per-layer state (padding never escapes: the forward scan
-        # slices every array back to the layer's true candidate count).
-        dists = np.zeros((n, kmax))
-        arcs = np.zeros((n, kmax))
-        eids = np.full((n, kmax), -1, dtype=np.int64)
-        # Exit/entry endpoint variants per candidate, variant-major along
-        # the second axis (1-2 legal endpoints per edge; `ok` masks the
-        # rest).  Row i of the exit arrays serves transition i -> i+1.
-        src_idx = np.zeros((n - 1, wide), dtype=np.intp)
-        tgt_idx = np.zeros_like(src_idx)
-        d1 = np.zeros((n - 1, wide))
-        d2 = np.zeros_like(d1)
-        src_ok = np.zeros((n - 1, wide), dtype=bool)
-        tgt_ok = np.zeros_like(src_ok)
-        for i, layer in enumerate(layers):
-            for k, cand in enumerate(layer):
-                edge = cand.edge
-                dists[i, k] = cand.distance_m
-                arcs[i, k] = cand.arc_m
-                eids[i, k] = edge.edge_id
-                if i < n - 1:
-                    for a, node in enumerate(exits_per[i][k]):
-                        row = src_index.get(node)
-                        if row is not None:
-                            src_idx[i, a * kmax + k] = row
-                            d1[i, a * kmax + k] = (
-                                edge.length - cand.arc_m
-                                if node == edge.v
-                                else cand.arc_m
-                            )
-                            src_ok[i, a * kmax + k] = True
-                if i > 0:
-                    for b, node in enumerate(entries_per[i][k]):
-                        col = tgt_index.get(node)
-                        if col is not None:
-                            tgt_idx[i - 1, b * kmax + k] = col
-                            d2[i - 1, b * kmax + k] = (
-                                cand.arc_m
-                                if node == edge.u
-                                else edge.length - cand.arc_m
-                            )
-                            tgt_ok[i - 1, b * kmax + k] = True
-
-        z = dists / self.config.sigma_m
+        z = plan.dists / self.config.sigma_m
         emissions = -0.5 * z * z
 
-        # Every transition matrix of the trip in one shot: one (T-1,
-        # 2K, 2K) gather over all exit/entry variant combinations, then
-        # a block-min over the two variant axes.  A strict-< running min
+        # Every transition matrix of the trip in one shot: the (T-1, 2K,
+        # 2K) distances over all exit/entry variant combinations, then a
+        # block-min over the two variant axes.  A strict-< running min
         # over the same combos would yield the identical float (ties
-        # share the value).
+        # share the value).  The cap mask also stands in for a per-source
+        # search bound: a tree cost beyond the cap is masked either way.
         capv = np.asarray(caps).reshape(-1, 1, 1)
-        through = table[src_idx[:, :, None], tgt_idx[:, None, :]]
-        total = (d1[:, :, None] + through) + d2[:, None, :]
-        valid = (
-            (src_ok[:, :, None] & tgt_ok[:, None, :])
-            & (through <= capv)
-            & (total <= capv * 1.5)
-        )
+        total = (plan.d1[:, :, None] + through) + plan.d2[:, None, :]
+        valid = (through <= capv) & (total <= capv * 1.5)
         nd = (
             np.where(valid, total, math.inf)
             .reshape(-1, 2, kmax, 2, kmax)
             .min(axis=(1, 3))
         )
-        same = eids[:-1, :, None] == eids[1:, None, :]
+        same = plan.eids[:-1, :, None] == plan.eids[1:, None, :]
+        arcs = plan.arcs
         nd = np.where(same, np.abs(arcs[1:, None, :] - arcs[:-1, :, None]), nd)
         straightv = np.asarray(straights).reshape(-1, 1, 1)
         trans_all = np.where(
@@ -276,45 +204,106 @@ class HmmMatcher:
         return _backtrack(layers, log_prob, back)
 
 
-def _collect_transition_pairs(
-    layers: list[list[Candidate]],
-    caps: list[float],
-    exits_per: list[list[list[int]]],
-    entries_per: list[list[list[int]]],
-) -> tuple[list[tuple[int, int]], dict[int, float], int]:
-    """The trip's transition-distance query set, in layer order.
+@dataclass(frozen=True)
+class TransitionPlan:
+    """A trip's candidate columns and transition-distance query set.
 
-    ``exits_per``/``entries_per`` are the per-layer, per-candidate
-    :func:`edge_exits`/:func:`edge_entries` lists (computed once in
-    :meth:`HmmMatcher.match` and shared with the decoder).
-
-    Returns ``(pairs, source_caps, per_exit_searches)``: the unique
-    ``(exit_node, entry_node)`` pairs every transition consults
-    (first-occurrence order; same-edge candidate pairs are excluded, as
-    their distance is the arc difference), the largest transition cap
-    each exit node serves (the flat kernel's per-source search bound),
-    and the number of capped Dijkstras a per-transition decode would run.
+    Per-layer state is padded to ``(T, K)`` (``K`` the widest layer; the
+    padding never escapes, because the forward scan slices every layer
+    back to its candidate count).  Exit/entry endpoint variants run
+    variant-major along a ``2K`` axis, and row ``i`` of the transition
+    arrays serves transition ``i -> i+1``.
+    ``queried`` marks the ``(T-1, 2K, 2K)`` exit/entry combinations whose
+    network distance the decode reads: both variants exist and the two
+    candidates lie on different edges (same-edge pairs use the arc
+    difference).  Those combinations' unique ``(exit, entry)`` node
+    positions are ``sources``/``targets``, and ``inverse`` maps each
+    queried combination, in C order, to its pair.
     """
-    pairs: dict[tuple[int, int], None] = {}
-    source_caps: dict[int, float] = {}
-    per_exit_searches = 0
-    for i in range(1, len(layers)):
-        cap = caps[i - 1]
-        cur_entries = entries_per[i]
-        cur_ids = [c.edge.edge_id for c in layers[i]]
-        for prev, exits in zip(layers[i - 1], exits_per[i - 1]):
-            per_exit_searches += len(exits)
-            prev_id = prev.edge.edge_id
-            for cur_id, entries in zip(cur_ids, cur_entries):
-                if cur_id == prev_id:
-                    continue
-                for e in exits:
-                    prior = source_caps.get(e)
-                    if prior is None or cap > prior:
-                        source_caps[e] = cap
-                    for en in entries:
-                        pairs.setdefault((e, en))
-    return list(pairs), source_caps, per_exit_searches
+
+    dists: np.ndarray
+    arcs: np.ndarray
+    eids: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    queried: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    inverse: np.ndarray
+
+
+def transition_plan(graph: RoadGraph, layers: list[list[Candidate]]) -> TransitionPlan:
+    """Build a trip's :class:`TransitionPlan` from per-edge columns.
+
+    The endpoint variants follow :func:`edge_exits`/:func:`edge_entries`
+    in order: exits ``[v, u]`` (``[u]`` backward-only, ``[v]``
+    otherwise), entries ``[u, v]`` (``[v]`` backward-only, ``[u]``
+    otherwise).  ``d1`` is the run from the candidate to its exit
+    (``length - arc`` at ``v``), ``d2`` the run from the entry to the
+    candidate (``arc`` at ``u``); a self-loop's ``u == v`` takes the
+    ``v`` side for exits and the ``u`` side for entries.
+    """
+    arrays = edge_arrays_for(graph)
+    n = len(layers)
+    sizes = [len(layer) for layer in layers]
+    kmax = max(sizes)
+    flat = [c for layer in layers for c in layer]
+    count = len(flat)
+    eid = np.fromiter((c.edge.edge_id for c in flat), np.int64, count)
+    arc = np.fromiter((c.arc_m for c in flat), np.float64, count)
+    dist = np.fromiter((c.distance_m for c in flat), np.float64, count)
+    slot = np.fromiter(
+        map(arrays.slot_by_edge_id.__getitem__, eid.tolist()), np.intp, count
+    )
+    size = np.array(sizes)
+    layer = np.repeat(np.arange(n), size)
+    col = np.arange(count) - (np.cumsum(size) - size)[layer]
+
+    def padded(columns: list[np.ndarray], fill) -> np.ndarray:
+        """Per-candidate columns as ``(T, columns, K)`` layer state."""
+        values = np.column_stack(columns)
+        out = np.full((n, values.shape[1], kmax), fill, dtype=values.dtype)
+        out[layer, :, col] = values
+        return out
+
+    # Endpoint variants per candidate as node positions, (count, 2), -1
+    # where the edge has no second variant.
+    u = arrays.u[slot]
+    v = arrays.v[slot]
+    forward = arrays.forward[slot]
+    backward = arrays.backward[slot]
+    backward_only = backward & ~forward
+    both = forward & backward
+    exits = np.stack([np.where(backward_only, u, v), np.where(both, u, -1)], axis=1)
+    entries = np.stack([np.where(backward_only, v, u), np.where(both, v, -1)], axis=1)
+    to_end = (arrays.length[slot] - arc)[:, None]
+    d1 = np.where(exits == v[:, None], to_end, arc[:, None])
+    d2 = np.where(entries == u[:, None], arc[:, None], to_end)
+
+    ints = padded([eid, exits, entries], -1)
+    floats = padded([dist, arc, d1, d2], 0.0)
+    eids = ints[:, 0]
+    # Transition combinations on (T-1, exit variant, prev K, entry
+    # variant, cur K) axes; flattened, that is the (T-1, 2K, 2K) layout.
+    src = ints[:-1, 1:3, :, None, None]
+    tgt = ints[1:, None, None, 3:5, :]
+    different = (eids[:-1, :, None] != eids[1:, None, :])[:, None, :, None, :]
+    queried = (src >= 0) & (tgt >= 0) & different
+    n_nodes = graph.node_count
+    codes = (src * n_nodes + tgt)[queried]
+    unique, inverse = np.unique(codes, return_inverse=True)
+    wide = (n - 1, 2 * kmax)
+    return TransitionPlan(
+        dists=floats[:, 0],
+        arcs=floats[:, 1],
+        eids=eids,
+        d1=floats[:-1, 2:4].reshape(wide),
+        d2=floats[1:, 4:6].reshape(wide),
+        queried=queried.reshape(n - 1, 2 * kmax, 2 * kmax),
+        sources=unique // n_nodes,
+        targets=unique % n_nodes,
+        inverse=inverse,
+    )
 
 
 def _backtrack(layers, log_prob, back) -> tuple[list[int], list[float]]:

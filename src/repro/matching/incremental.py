@@ -83,6 +83,7 @@ class IncrementalMatcher:
         self.graph = graph
         self.config = config or IncrementalConfig()
         self._adjacent: dict[int, set[int]] = {}
+        self._two_hops: dict[int, set[int]] = {}
 
     # -- adjacency ------------------------------------------------------------
 
@@ -101,11 +102,20 @@ class IncrementalMatcher:
         self._adjacent[edge_id] = near
         return near
 
-    def _connected(self, a: int, b: int) -> bool:
-        """Within two adjacency hops (enough for event-sampled city fixes)."""
-        if b in self._edges_adjacent(a):
-            return True
-        return any(b in self._edges_adjacent(mid) for mid in self._edges_adjacent(a))
+    def _two_hop(self, edge_id: int) -> set[int]:
+        """Edge ids within two adjacency hops of ``edge_id`` (cached).
+
+        An edge counts as connected to ``edge_id`` when it is in this set:
+        two hops are enough for event-sampled city fixes.
+        """
+        cached = self._two_hops.get(edge_id)
+        if cached is not None:
+            return cached
+        reach: set[int] = set()
+        for mid in self._edges_adjacent(edge_id):
+            reach |= self._edges_adjacent(mid)
+        self._two_hops[edge_id] = reach
+        return reach
 
     # -- incremental state API ---------------------------------------------
 
@@ -186,23 +196,29 @@ class IncrementalMatcher:
         prev_edge_id: int | None,
     ) -> float:
         score = candidate.score
+        edge_id = candidate.edge.edge_id
         if prev_edge_id is not None:
-            if candidate.edge.edge_id == prev_edge_id:
+            if edge_id == prev_edge_id:
                 score += self.config.continuity_bonus
-            elif not self._connected(prev_edge_id, candidate.edge.edge_id):
+            elif edge_id not in self._two_hop(prev_edge_id):
                 score -= self.config.continuity_bonus
         # Look-ahead: the best connected follow-up chain.
-        edge_id = candidate.edge.edge_id
         end = min(i + 1 + self.config.look_ahead, len(state.points))
         for j in range(i + 1, end):
             nxt = state.candidates[j]
             if not nxt:
                 break
-            connected = [c for c in nxt if self._connected(edge_id, c.edge.edge_id)]
-            if not connected:
+            # The first highest-scoring connected follow-up.
+            reach = self._two_hop(edge_id)
+            best_next = None
+            for c in nxt:
+                if c.edge.edge_id in reach and (
+                    best_next is None or c.score > best_next.score
+                ):
+                    best_next = c
+            if best_next is None:
                 score -= self.config.continuity_bonus
                 break
-            best_next = max(connected, key=lambda c: c.score)
             score += 0.5 * best_next.score
             edge_id = best_next.edge.edge_id
         return score

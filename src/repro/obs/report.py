@@ -167,11 +167,9 @@ def render_report(
     hmm_layers = counters.get("matching.hmm_layers")
     if hmm_layers:
         pairs = int(counters.get("matching.hmm_transition_pairs", 0))
-        avoided = int(counters.get("matching.hmm_dijkstra_avoided", 0))
         lines.append("HMM batching:")
         lines.append(f"  layers decoded      {int(hmm_layers)}")
         lines.append(f"  transition pairs    {pairs} (batched per trip)")
-        lines.append(f"  dijkstras avoided   {avoided} vs one search per transition")
         lines.append("")
 
     quarantines = [e for e in events if e.get("kind") == "quarantine"]

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.geo.geometry import LineString, Point
 from repro.geo.index import GridIndex
+
+if TYPE_CHECKING:
+    from repro.roadnet.routing import CostRows
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,15 @@ Label = tuple[float, int | None, int | None]
 class RoadGraph:
     """Adjacency-indexed road network with a spatial edge index.
 
-    Two routing structures derive from the graph, each built on first use
-    and dropped by :meth:`add_node`/:meth:`add_edge`: the flat adjacency
-    of :meth:`arcs` and the shortest-path trees of :attr:`route_trees`.
+    Three routing structures derive from the graph, each built on first
+    use and dropped by :meth:`add_node`/:meth:`add_edge`: the flat
+    adjacency of :meth:`arcs`, the shortest-path trees of
+    :attr:`route_trees` and their dense :attr:`cost_rows`.
     """
 
     def __init__(self, spatial_cell_m: float = 150.0) -> None:
         self._nodes: dict[int, RoadNode] = {}
+        self._node_index: dict[int, int] = {}
         self._edges: dict[int, RoadEdge] = {}
         self._adj: dict[int, list[int]] = {}
         self._edge_index: GridIndex[int] = GridIndex(spatial_cell_m)
@@ -153,6 +159,9 @@ class RoadGraph:
         #: Full shortest-path trees keyed by ``(source, weight,
         #: respect_oneway)``; filled by :mod:`repro.roadnet.routing`.
         self.route_trees: dict[tuple[int, str, bool], dict[int, Label]] = {}
+        #: The one-way trees' costs as dense rows, one block per weight;
+        #: filled by :mod:`repro.roadnet.routing`.
+        self.cost_rows: dict[str, CostRows] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -160,6 +169,7 @@ class RoadGraph:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node {node.node_id}")
         self._nodes[node.node_id] = node
+        self._node_index[node.node_id] = len(self._node_index)
         self._adj.setdefault(node.node_id, [])
         self._drop_routing_state()
 
@@ -185,6 +195,7 @@ class RoadGraph:
     def _drop_routing_state(self) -> None:
         self._arcs = {}
         self.route_trees = {}
+        self.cost_rows = {}
 
     # -- access ---------------------------------------------------------------
 
@@ -199,6 +210,11 @@ class RoadGraph:
 
     def edges(self) -> list[RoadEdge]:
         return list(self._edges.values())
+
+    @property
+    def node_index(self) -> dict[int, int]:
+        """Each node id's dense position: its index in insertion order."""
+        return self._node_index
 
     @property
     def node_count(self) -> int:

@@ -14,7 +14,9 @@ the same labels whatever its stop condition, so a tree holds exactly the
 labels and predecessors an early-exit or cost-bounded search from that
 source settles.  Tree answers are therefore bit-identical to the
 per-pair searches they replace (``tests/oracles/routing.py`` keeps
-those).  :class:`RouteBatch` answers a unit's many queries in one call.
+those).  :class:`RouteBatch` answers a unit's many queries in one call;
+its cost queries read the trees' costs as dense rows
+(:class:`CostRows`), one array gather per call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from repro.faults import maybe_inject
 from repro.geo.geometry import LineString
@@ -175,15 +179,69 @@ def cached_shortest_path(
     return shortest_path(graph, source, target, weight)
 
 
+class CostRows:
+    """One weight's one-way tree costs as rows of a dense block.
+
+    ``block[row_of[s], t]`` is the optimal cost from node position ``s``
+    to node position ``t`` (:attr:`RoadGraph.node_index`), ``inf`` where
+    ``t`` is unreachable; ``row_of[s]`` is ``-1`` until ``s`` has a row.
+    Each row is copied from its source's tree, which stays in
+    :attr:`RoadGraph.route_trees`, and the graph drops both together.
+    """
+
+    __slots__ = ("index", "node_ids", "block", "row_of", "count")
+
+    def __init__(self, graph: RoadGraph) -> None:
+        self.index = graph.node_index
+        self.node_ids = list(self.index)
+        self.block = np.empty((0, len(self.node_ids)))
+        self.row_of = np.full(len(self.node_ids), -1, dtype=np.intp)
+        self.count = 0
+
+    def add(self, source: int, tree: dict[int, Label]) -> None:
+        """Copy ``tree``'s costs into a new row for position ``source``."""
+        if self.count == len(self.block):
+            grown = np.empty((max(1, 2 * self.count), len(self.node_ids)))
+            grown[: self.count] = self.block
+            self.block = grown
+        row = self.block[self.count]
+        row.fill(math.inf)
+        row[[self.index[node] for node in tree]] = [
+            label[0] for label in tree.values()
+        ]
+        self.row_of[source] = self.count
+        self.count += 1
+
+
+def _cost_rows(graph: RoadGraph, weight: Weight, sources: np.ndarray) -> CostRows:
+    """``weight``'s rows, with one for every unique position in ``sources``.
+
+    A lookup counts like :func:`_tree`'s: sources that have a row count
+    ``routing.route_cache_hits`` in bulk, and the rest read their tree
+    through :func:`_tree` (found or built) and copy it into a new row.
+    """
+    rows = graph.cost_rows.get(weight)
+    if rows is None:
+        rows = graph.cost_rows[weight] = CostRows(graph)
+    missing = sources[rows.row_of[sources] < 0].tolist()
+    if len(sources) > len(missing):
+        get_registry().counter("routing.route_cache_hits").inc(
+            len(sources) - len(missing)
+        )
+    for source in missing:
+        tree = _tree(graph, rows.node_ids[source], weight, True)
+        rows.add(source, tree)
+    return rows
+
+
 class RouteBatch:
     """Answers many shortest-path queries of one unit of work at once.
 
-    Callers collect every ``(source, target)`` pair a unit will need —
-    all the gate pairs of a flow table, all the transition distances of
-    an HMM trip — and hand them to :meth:`resolve` or
-    :meth:`resolve_costs` in one call.  Duplicates collapse to one
-    query and every answer comes from the source's shortest-path tree,
-    so a batch answer is bitwise-identical to the per-pair one.
+    Callers collect every query a unit will need — all the gate pairs of
+    a flow table, all the transition distances of an HMM trip — and hand
+    them to :meth:`resolve` or :meth:`resolve_costs` in one call.  Every
+    answer comes from the source's shortest-path tree, so a batch answer
+    is bitwise-identical to the per-pair one.
 
     Fault injection deliberately does **not** live here: injected routing
     timeouts fire inside :func:`cached_shortest_path`, the per-pair entry
@@ -199,8 +257,9 @@ class RouteBatch:
     ) -> dict[tuple[int, int], PathResult]:
         """Answer every pair; returns ``{(source, target): PathResult}``.
 
-        Each answer is :func:`shortest_path`'s own result; unreachable
-        pairs come back as not-found results, never missing keys.
+        Duplicates collapse to one query.  Each answer is
+        :func:`shortest_path`'s own result; unreachable pairs come back
+        as not-found results, never missing keys.
         """
         unique = list(dict.fromkeys(pairs))
         registry = get_registry()
@@ -210,39 +269,25 @@ class RouteBatch:
             (s, t): shortest_path(self.graph, s, t, self.weight) for s, t in unique
         }
 
-    def resolve_costs(
-        self,
-        pairs: list[tuple[int, int]],
-        max_costs: dict[int, float] | None = None,
-    ) -> dict[tuple[int, int], float]:
-        """Optimal path *costs* for every pair, without materialising paths.
+    def resolve_costs(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Optimal path costs between node positions, elementwise.
 
-        The cost-mode twin of :meth:`resolve` for workloads that only
-        need distances (HMM transition scores), with one tree lookup per
-        unique source.  A pair whose optimal cost exceeds
-        ``max_costs[source]`` comes back as ``inf``, exactly as a search
-        bounded there would leave it unproven.
+        ``sources`` and ``targets`` are integer arrays of dense node
+        positions (:attr:`RoadGraph.node_index`) that broadcast together;
+        the answer has their broadcast shape, ``inf`` where the target
+        is unreachable, without materialising paths.  One array gather
+        over the weight's :class:`CostRows`, after one tree lookup per
+        unique source.
         """
-        unique = list(dict.fromkeys(pairs))
+        sources = np.asarray(sources, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
         registry = get_registry()
         registry.counter("routing.batch_resolves").inc()
-        registry.counter("routing.batch_pairs").inc(len(unique))
-        bounds = max_costs or {}
-        inf = math.inf
-        # Per unique source: its tree and its bound.
-        sources: dict[int, tuple[dict[int, Label], float]] = {}
-        costs: dict[tuple[int, int], float] = {}
-        for s, t in unique:
-            source = sources.get(s)
-            if source is None:
-                tree = _tree(self.graph, s, self.weight, True)
-                source = sources[s] = (tree, bounds.get(s, inf))
-            label = source[0].get(t)
-            if label is not None and label[0] <= source[1]:
-                costs[(s, t)] = label[0]
-            else:
-                costs[(s, t)] = inf
-        return costs
+        registry.counter("routing.batch_pairs").inc(
+            np.broadcast(sources, targets).size
+        )
+        rows = _cost_rows(self.graph, self.weight, np.unique(sources))
+        return rows.block[rows.row_of[sources], targets]
 
 
 def shortest_path_geometry(graph: RoadGraph, path: PathResult) -> LineString | None:

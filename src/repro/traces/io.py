@@ -154,10 +154,13 @@ def read_points_csv(
     given, otherwise logged — never raised.  Trips whose rows were *all*
     malformed produce an ``empty_trip`` record; trips whose point ids
     regress produce a ``non_monotonic_ids`` record (the points are kept:
-    ordering repair downstream handles them).
+    ordering repair downstream handles them).  A read that dropped
+    anything logs one WARNING with the number of its own non-advisory
+    records.
     """
     path = Path(path)
     quarantine = quarantine if quarantine is not None else Quarantine()
+    dropped_before = len(quarantine.dropped())
     trips: dict[int, Trip] = {}
     damaged_trip_ids: set[int] = set()
     with path.open(newline="", encoding="utf-8", errors="replace") as f:
@@ -181,11 +184,11 @@ def read_points_csv(
         error = non_monotonic_ids_error(trip.trip_id, trip.points)
         if error is not None:
             quarantine.add(error)
-    if quarantine.errors:
+    dropped = len(quarantine.dropped()) - dropped_before
+    if dropped:
         _log.warning(
             "%d units quarantined during read of %s",
-            len(quarantine.errors), path,
-            extra={"path": str(path), "errors": len(quarantine.errors)},
+            dropped, path, extra={"path": str(path), "errors": dropped},
         )
     return FleetData(trips=sorted(trips.values(), key=lambda t: t.trip_id))
 

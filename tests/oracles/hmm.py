@@ -3,8 +3,10 @@
 A pure-Python forward pass with one capped Dijkstra per exit endpoint of
 every previous-layer candidate, per transition.  :func:`viterbi` has the
 signature of :meth:`repro.matching.hmm.HmmMatcher._viterbi` (it ignores
-the batch query plan), so tests monkeypatch it onto the class and compare
-whole ``match()`` outputs.
+the transition plan), so tests monkeypatch it onto the class and compare
+whole ``match()`` outputs.  :func:`collect_transition_pairs` is the
+per-candidate walk that built a trip's query set before the plan was
+built from per-edge columns: the reference for the plan's pairs.
 """
 
 from __future__ import annotations
@@ -118,3 +120,36 @@ def _network_distance(
             if total <= cap * 1.5 and (best is None or total < best):
                 best = total
     return best
+
+
+def collect_transition_pairs(
+    layers: list[list[Candidate]], caps: list[float]
+) -> tuple[list[tuple[int, int]], dict[int, float]]:
+    """The trip's transition-distance query set, in layer order.
+
+    Returns ``(pairs, source_caps)``: the unique ``(exit_node,
+    entry_node)`` pairs every transition consults (first-occurrence
+    order; same-edge candidate pairs are excluded, as their distance is
+    the arc difference), and the largest transition cap each exit node
+    serves (the per-source search bound the decode once passed).
+    """
+    exits_per = [[edge_exits(c.edge) for c in layer] for layer in layers]
+    entries_per = [[edge_entries(c.edge) for c in layer] for layer in layers]
+    pairs: dict[tuple[int, int], None] = {}
+    source_caps: dict[int, float] = {}
+    for i in range(1, len(layers)):
+        cap = caps[i - 1]
+        cur_entries = entries_per[i]
+        cur_ids = [c.edge.edge_id for c in layers[i]]
+        for prev, exits in zip(layers[i - 1], exits_per[i - 1]):
+            prev_id = prev.edge.edge_id
+            for cur_id, entries in zip(cur_ids, cur_entries):
+                if cur_id == prev_id:
+                    continue
+                for e in exits:
+                    prior = source_caps.get(e)
+                    if prior is None or cap > prior:
+                        source_caps[e] = cap
+                    for en in entries:
+                        pairs.setdefault((e, en))
+    return list(pairs), source_caps

@@ -2,16 +2,20 @@
 
 The batch layer is pure mechanism — ``RouteBatch.resolve`` must answer
 exactly what repeated ``shortest_path`` calls would, and
-``RouteBatch.resolve_costs`` must return exact costs within each
-source's bound.  Every answer is read from a shortest-path tree memoised
-on the graph, so each one is checked against the per-query searches of
-``tests/oracles/routing.py``, before and after the graph changes.
+``RouteBatch.resolve_costs`` must return the exact optimal cost between
+node positions (``inf`` when unreachable), so that a per-source bound
+applied to its answer reproduces a search bounded there.  Every answer
+is read from a shortest-path tree memoised on the graph (cost queries
+from the tree's dense cost row), so each one is checked against the
+per-query searches of ``tests/oracles/routing.py``, before and after the
+graph changes.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,10 +63,20 @@ def _assert_equals_oracle(graph, sources, targets, specs) -> None:
         assert batch.resolve(pairs) == {
             (s, t): oracle.shortest_path(graph, s, t, weight) for s, t in pairs
         }
-        max_costs = _bounds(graph, sources, targets, specs)
-        assert batch.resolve_costs(pairs, max_costs) == oracle.resolve_costs(
-            graph, pairs, max_costs, weight
+        index = graph.node_index
+        costs = batch.resolve_costs(
+            np.array([index[s] for s in sources])[:, None],
+            np.array([index[t] for t in targets])[None, :],
         )
+        assert costs.shape == (len(sources), len(targets))
+        answers = dict(zip(pairs, costs.ravel().tolist()))
+        assert answers == oracle.resolve_costs(graph, pairs, None, weight)
+        max_costs = _bounds(graph, sources, targets, specs)
+        bounded = {
+            (s, t): cost if cost <= max_costs[s] else math.inf
+            for (s, t), cost in answers.items()
+        }
+        assert bounded == oracle.resolve_costs(graph, pairs, max_costs, weight)
 
 
 # -- RouteBatch planner ------------------------------------------------------
@@ -100,16 +114,42 @@ class TestRouteBatch:
         assert registry.counter("routing.dijkstra_calls").value == 0
 
     def test_resolve_costs_looks_up_one_tree_per_source(self):
+        """The first call builds one tree (and row) per unique source; the
+        second finds every row and counts one hit per source."""
         graph = build_random_city(13)
         ids = sorted(node.node_id for node in graph.nodes())
-        pairs = [(s, t) for s in ids[:3] for t in ids]
+        index = graph.node_index
+        # Each source twice: duplicates are one lookup.
+        sources = np.array([index[s] for s in ids[:3] * 2])[:, None]
+        targets = np.array([index[t] for t in ids])[None, :]
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            RouteBatch(graph).resolve_costs(pairs, {ids[0]: 0.0})
-            RouteBatch(graph).resolve_costs(pairs)
+            first = RouteBatch(graph).resolve_costs(sources, targets)
+            again = RouteBatch(graph).resolve_costs(sources, targets)
         assert registry.counter("routing.route_cache_misses").value == 3
         assert registry.counter("routing.route_cache_hits").value == 3
         assert registry.counter("routing.settled_nodes").value == 3 * len(ids)
+        assert registry.counter("routing.batch_resolves").value == 2
+        assert registry.counter("routing.batch_pairs").value == 2 * first.size
+        assert np.array_equal(first, again)
+
+    def test_resolve_costs_reads_trees_built_by_path_queries(self):
+        """A tree built by a path query gets its row from the tree: a
+        hit, no second search."""
+        graph = build_random_city(14)
+        ids = sorted(node.node_id for node in graph.nodes())
+        index = graph.node_index
+        shortest_path(graph, ids[0], ids[-1])
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            costs = RouteBatch(graph).resolve_costs(
+                index[ids[0]], np.array([index[t] for t in ids])
+            )
+        assert registry.counter("routing.route_cache_hits").value == 1
+        assert registry.counter("routing.dijkstra_calls").value == 0
+        assert costs.tolist() == [
+            oracle.shortest_path(graph, ids[0], t).cost for t in ids
+        ]
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

@@ -1,7 +1,9 @@
 """Tests for repro.matching.evaluate."""
 
+import dataclasses
 
 from repro.matching import HmmMatcher, IncrementalMatcher, evaluate_matcher
+from repro.matching import evaluate as evaluate_module
 from repro.matching.evaluate import edge_jaccard, truth_for_segment
 from repro.matching.types import MatchedRoute
 
@@ -37,6 +39,37 @@ class TestEvaluateMatcher:
                                city.graph, to_xy)
         assert inc.match_rate == hmm.match_rate == 1.0
         assert abs(inc.mean_jaccard - hmm.mean_jaccard) < 0.35
+
+    def test_per_car_lookup_equals_the_all_runs_scan(
+        self, city, fleet_and_runs, clean_result, monkeypatch
+    ):
+        """Each segment's truth comes from its own car's runs in their
+        original order, so an equal-overlap tie still goes to the first
+        run of the whole list, as the scan over all runs picks it."""
+        __, runs = fleet_and_runs
+        segments = clean_result.segments[:30]
+        truths = [truth_for_segment(runs, seg) for seg in segments]
+        first = next(t for t in truths if t is not None)
+        second = next(t for t in truths if t is not None and t != first)
+        # Same-car decoys with the true runs' times but other edges: one
+        # ahead of every run, one right behind the run it ties with.
+        ahead = dataclasses.replace(first, edge_ids=())
+        behind = dataclasses.replace(second, edge_ids=second.edge_ids[:1])
+        at = runs.index(second) + 1
+        tied = [ahead] + runs[:at] + [behind] + runs[at:]
+        assert [truth_for_segment(tied, seg) for seg in segments] == [
+            ahead if t == first else t for t in truths
+        ]
+        to_xy = lambda p: city.projector.to_xy(p.lat, p.lon)
+        matcher = IncrementalMatcher(city.graph)
+        per_car = evaluate_matcher(matcher, segments, tied, city.graph, to_xy)
+        monkeypatch.setattr(
+            evaluate_module, "truth_for_segment",
+            lambda __, segment: truth_for_segment(tied, segment),
+        )
+        scan = evaluate_matcher(matcher, segments, tied, city.graph, to_xy)
+        assert per_car == scan
+        assert per_car.n_evaluated == sum(t is not None for t in truths)
 
     def test_empty_segments(self, city, runs):
         evaluation = evaluate_matcher(

@@ -7,6 +7,7 @@ from repro.matching import IncrementalMatcher
 from repro.matching.incremental import IncrementalConfig
 from repro.traces import FleetSpec, TaxiFleetSimulator
 from repro.traces.noise import NoiseSpec
+from tests.helpers import build_random_city
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +138,25 @@ class TestConfig:
         far = RoutePoint(point_id=1, trip_id=1, lat=66.0, lon=25.0, time_s=0.0)
         result = matcher.match([far], lambda p: city.projector.to_xy(p.lat, p.lon))
         assert result is None
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_hop_set_is_the_two_hop_walk(self, seed):
+        """An edge is connected to ``a`` exactly when it shares a node
+        with ``a`` or with an edge sharing a node with ``a`` (directions
+        ignored), and the memoised set says so in one lookup."""
+        graph = build_random_city(seed, oneway_fraction=0.4, components=2)
+        matcher = IncrementalMatcher(graph)
+
+        def touching(edge_id):
+            edge = graph.edge(edge_id)
+            return {e.edge_id for e in graph.edges() if {e.u, e.v} & {edge.u, edge.v}}
+
+        second_hop_reached = False
+        for a in (e.edge_id for e in graph.edges()):
+            one_hop = touching(a)
+            two_hop = set().union(*(touching(mid) for mid in one_hop))
+            assert matcher._two_hop(a) == two_hop
+            second_hop_reached |= two_hop > one_hop
+        assert second_hop_reached

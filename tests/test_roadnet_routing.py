@@ -170,7 +170,11 @@ class TestDerivedState:
         # A graph that has answered queries already.
         self.g = build_chain_graph()
         assert shortest_path(self.g, 1, 4).edges == (1, 2, 3)
-        assert RouteBatch(self.g).resolve_costs([(1, 4)]) == {(1, 4): 300.0}
+        assert self._cost(1, 4) == 300.0
+
+    def _cost(self, s: int, t: int) -> float:
+        index = self.g.node_index
+        return RouteBatch(self.g).resolve_costs([index[s]], [index[t]]).item()
 
     def test_add_edge_shortcut_returns_the_new_path(self):
         geom = LineString([self.g.node(1).position, self.g.node(4).position])
@@ -180,10 +184,12 @@ class TestDerivedState:
         assert path.nodes == (1, 4)
         assert path.edges == (9,)
         assert path.cost == geom.length
-        assert RouteBatch(self.g).resolve_costs([(1, 4)]) == {(1, 4): geom.length}
+        assert self._cost(1, 4) == geom.length
         assert dijkstra(self.g, 1, 4)[4] == (geom.length, 1, 9)
 
     def test_add_node_drops_the_trees(self):
         self.g.add_node(RoadNode(5, (300.0, 100.0)))
         assert self.g.route_trees == {}
+        assert self.g.cost_rows == {}
         assert not shortest_path(self.g, 1, 5).found
+        assert self._cost(1, 5) == math.inf

@@ -10,11 +10,12 @@ rows, and leaves a precise :class:`TripError` record per problem.
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultPlan, Quarantine, inject_faults
+from repro.faults import FaultPlan, Quarantine, TripError, inject_faults
 from repro.obs import MetricsRegistry, use_registry
 from repro.traces.io import read_points_csv, write_points_csv
 
@@ -81,6 +82,44 @@ def test_without_explicit_quarantine_still_returns_survivors():
     fleet = read_points_csv(CORPUS / "nan_coords.csv")
     assert [t.trip_id for t in fleet.trips] == [20]
     assert [p.point_id for p in fleet.trips[0].points] == [1, 4]
+
+
+# -- the read's one WARNING --------------------------------------------------
+
+
+@pytest.fixture()
+def read_warnings(caplog, monkeypatch):
+    """The WARNING records ``read_points_csv`` logs, whatever the logging
+    set-up (a configured ``repro`` root does not propagate)."""
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    caplog.set_level(logging.WARNING, logger="repro.traces.io")
+    return lambda: [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_advisory_records_alone_log_no_warning(read_warnings):
+    quarantine = Quarantine()
+    fleet = read_points_csv(CORPUS / "non_monotonic.csv", quarantine=quarantine)
+    assert fleet.point_count == 3
+    assert [e.kind for e in quarantine.errors] == ["non_monotonic_ids"]
+    assert read_warnings() == []
+
+
+def test_warning_counts_the_dropped_row(read_warnings):
+    read_points_csv(CORPUS / "truncated_line.csv")
+    [record] = read_warnings()
+    assert record.errors == 1
+    assert record.getMessage().startswith("1 units quarantined during read of ")
+
+
+def test_prefilled_quarantine_does_not_inflate_the_count(read_warnings):
+    quarantine = Quarantine()
+    for row in range(3):
+        quarantine.add(TripError(stage="io", kind="parse_error",
+                                 message="earlier read", row=row))
+    read_points_csv(CORPUS / "truncated_line.csv", quarantine=quarantine)
+    assert len(quarantine.errors) == 4
+    [record] = read_warnings()
+    assert record.errors == 1
 
 
 # -- injected ingest faults --------------------------------------------------
