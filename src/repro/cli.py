@@ -192,6 +192,17 @@ def _require_inputs(*paths: Path | None) -> None:
             raise _UsageError(f"no such file or directory: {path}")
 
 
+def _require_dir(path: str | Path | None) -> None:
+    """Raise :class:`_UsageError` when a given directory path names, or
+    lies under, something other than a directory."""
+    if path is None:
+        return
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise _UsageError(f"not a directory: {existing}")
+
+
 _JOURNAL_HELP = "a run's events.jsonl, or the run directory holding it"
 
 
@@ -266,8 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="checkpoint every N micro-batches (0: disabled)")
     serve.add_argument("--checkpoint-dir", type=Path, default=None,
                        metavar="DIR",
-                       help="content-addressed checkpoint directory "
-                            "(required with --checkpoint-every)")
+                       help="checkpoint directory; holds the latest "
+                            "checkpoint as one keyed file (required with "
+                            "--checkpoint-every)")
     serve.add_argument("--no-resume", action="store_true",
                        help="ignore an existing checkpoint and start fresh")
     serve.add_argument("--idle-timeout", type=float, default=5.0,
@@ -479,6 +491,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             store=_store_config(args),
         )
     _require_inputs(args.input)
+    _require_dir(config.store.dir if config.store is not None else None)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     errors_path: Path = args.errors_out or (out / "errors.jsonl")
@@ -592,6 +605,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.mode != "tail":  # a tailed file may appear later
         _require_inputs(args.input)
+    _require_dir(config.checkpoint_dir)
     service = StreamService(config)
     if not args.no_resume:
         with _checking_flags():

@@ -8,7 +8,7 @@ can derive the evaluation outputs without re-running stages.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.cleaning import CleaningPipeline, CleanResult
 from repro.faults import (
@@ -170,15 +170,23 @@ class MatchFold:
             return RandomInterceptModel().fit(self.speeds, self.cells)
         return None
 
+    #: The :meth:`to_payload` lists that only ever grow.
+    APPEND_ONLY = ("kept", "route_stats", "speeds", "cells")
+
     def to_payload(self) -> dict:
-        """The fold's state as JSON; each matched speed is stored once."""
+        """The fold's state for JSON; each matched speed is stored once.
+
+        The :attr:`APPEND_ONLY` lists are the fold's own, not copies
+        (route stats as dataclasses, cells as tuples), so a checkpoint
+        can encode only what was appended since its previous one.
+        """
         return {
             "transitions": self.transitions,
-            "kept": list(self.kept),
+            "kept": self.kept,
             "post_per_car": [[car, n] for car, n in self.post_per_car.items()],
-            "route_stats": [asdict(s) for s in self.route_stats],
-            "speeds": list(self.speeds),
-            "cells": [list(key) for key in self.cells],
+            "route_stats": self.route_stats,
+            "speeds": self.speeds,
+            "cells": self.cells,
         }
 
     def restore(self, payload: dict) -> None:

@@ -32,6 +32,10 @@ from repro.obs.journal import SpanNode, lineage_records, read_journal, reconstru
 #: tests; everything else diverging means the runs did different science.
 SCHEDULING_PREFIXES = ("parallel.", "routing.", "worker.")
 
+#: Counters of bytes, not of units: a serve checkpoint's size varies with
+#: the wall-clock stage seconds its cleaning report carries.
+SIZE_COUNTERS = frozenset({"stream.checkpoint_bytes"})
+
 #: Artefact files compared byte-wise by :func:`diff_runs` when present.
 ARTEFACT_GLOBS = ("table*.txt", "fig*.txt", "errors.jsonl")
 
@@ -116,7 +120,8 @@ def _detail_spans(events: list[dict]) -> list[dict]:
 
 
 def _unit_label(event: dict) -> str:
-    for key in ("trip_id", "segment_id", "transition_index", "row"):
+    for key in ("trip_id", "segment_id", "transition_index", "row",
+                "checkpoint_seq"):
         if event.get(key) is not None:
             return f"{key}={event[key]}"
     return "unit=?"
@@ -273,7 +278,7 @@ def _comparable_counters(metrics: dict) -> dict:
     return {
         name: value
         for name, value in metrics.get("counters", {}).items()
-        if not name.startswith(SCHEDULING_PREFIXES)
+        if not name.startswith(SCHEDULING_PREFIXES) and name not in SIZE_COUNTERS
     }
 
 

@@ -10,8 +10,8 @@ in ``tests/test_stream_equivalence.py``.
 
 * :mod:`repro.stream.sources` — replay / csv-tail / fifo row sources;
 * :mod:`repro.stream.service` — the micro-batch service and its result;
-* :mod:`repro.stream.checkpoint` — content-addressed checkpoints and the
-  resume path;
+* :mod:`repro.stream.checkpoint` — the one-file keyed checkpoint, each
+  checkpoint encoding only what changed, and the resume path;
 * :mod:`repro.stream.compare` — artefact fingerprints for the
   differential harness.
 """

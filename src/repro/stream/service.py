@@ -21,9 +21,10 @@ last fix by ``trip_timeout_s``, which bounds the open-state memory.
 
 With a checkpoint directory configured, the service state — ingest
 counters, open and pending trip buffers, windows, the error ledger and
-each fold's own payload — is persisted content-addressed every
-``checkpoint_every`` micro-batches; a killed service resumes from the
-latest checkpoint and skips the already-ingested rows
+each fold's own payload — is written to one keyed checkpoint file every
+``checkpoint_every`` micro-batches, each append-only list encoding only
+what was appended since the previous checkpoint; a killed service
+resumes from the checkpoint and skips the already-ingested rows
 (``tests/test_stream_checkpoint.py``).
 """
 
@@ -33,6 +34,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from repro.cleaning import CleaningPipeline, CleanResult
 from repro.cleaning.pipeline import CleaningFold
@@ -59,7 +61,12 @@ from repro.od.transitions import FunnelFold, FunnelRow
 from repro.parallel import MatchTask, match_task, study_gates
 from repro.roadnet import SyntheticCity, build_synthetic_oulu
 from repro.stats import MixedModelResult
-from repro.stream.checkpoint import CheckpointStore, load_checkpoint
+from repro.stream.checkpoint import (
+    CheckpointStore,
+    JsonList,
+    JsonObject,
+    load_checkpoint,
+)
 from repro.stream.sources import open_source
 from repro.traces.io import (
     _POINT_FIELDS,
@@ -76,6 +83,9 @@ _log = get_logger(__name__)
 #: advisories, then the study's clean and match quarantines, then the
 #: stream's own dead letters.
 _LEDGER = ("io", "nonmono", "clean", "match", "stream")
+
+#: A buffered fix as its checkpoint row.
+_point_row = attrgetter(*_POINT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -136,16 +146,23 @@ class _OpenTrip:
 
     trip_id: int
     car_id: int
+    #: Event time of the trip's latest fix, from its first fix on.
+    last_event_s: float
     points: list[RoutePoint] = field(default_factory=list)
-    last_event_s: float = 0.0
+    #: The fixes' checkpoint rows, each encoded once; they travel with
+    #: the trip from open to pending and back.
+    rows: JsonList = field(init=False, repr=False, compare=False)
 
-    def to_payload(self) -> dict:
-        return {
-            "trip_id": self.trip_id,
-            "car_id": self.car_id,
-            "points": [[getattr(p, name) for name in _POINT_FIELDS] for p in self.points],
-            "last_event_s": self.last_event_s,
-        }
+    def __post_init__(self) -> None:
+        self.rows = JsonList(self.points, _point_row)
+
+    def json(self) -> str:
+        """The trip's checkpoint payload as canonical JSON (event times
+        are finite, so ``repr`` is their JSON)."""
+        return (
+            f'{{"car_id":{self.car_id},"last_event_s":{self.last_event_s!r},'
+            f'"points":{self.rows.json()},"trip_id":{self.trip_id}}}'
+        )
 
     @classmethod
     def from_payload(cls, doc: dict) -> "_OpenTrip":
@@ -313,6 +330,18 @@ class StreamService:
         )
         self._funnel = FunnelFold()
         self._match = MatchFold(study.grid, self._ledger["match"])
+        self._list_encoders()
+
+    def _list_encoders(self) -> None:
+        """Encoders over the error ledger's and the match fold's lists,
+        made afresh whenever the lists are (on build and on restore)."""
+        self._ledger_json = {
+            name: JsonList(q.errors) for name, q in self._ledger.items()
+        }
+        match = self._match.to_payload()
+        self._match_json = {
+            name: JsonList(match[name]) for name in MatchFold.APPEND_ONLY
+        }
 
     # -- ingest -------------------------------------------------------------
 
@@ -414,7 +443,9 @@ class StreamService:
                 )
                 return
             else:
-                open_trip = _OpenTrip(trip_id=trip_id, car_id=car_id)
+                open_trip = _OpenTrip(
+                    trip_id=trip_id, car_id=car_id, last_event_s=point.time_s
+                )
                 self._open[trip_id] = open_trip
                 self._max_opened = trip_id
                 journal = get_journal()
@@ -619,7 +650,9 @@ class StreamService:
 
     def _write_checkpoint(self) -> None:
         self._checkpoint_seq += 1
-        self._checkpoints.write(self._checkpoint_payload())
+        with span("checkpoint", detail=True,
+                  attrs={"checkpoint_seq": self._checkpoint_seq}):
+            self._checkpoints.write(self._checkpoint_sections())
         plan = _injector.active_plan()
         if plan is not None and plan.kill_chunk.get("stream") == self._checkpoint_seq:
             # The chaos plan kills the service right after this
@@ -627,7 +660,9 @@ class StreamService:
             # resume path is what the crash tests actually exercise.
             os._exit(1)
 
-    def _checkpoint_payload(self) -> dict:
+    def _checkpoint_sections(self) -> dict:
+        """The checkpoint payload, its append-only lists (trip fixes,
+        ledger, match fold) as encoders that remember what they wrote."""
         return {
             "fingerprint": self.config.fingerprint(),
             "checkpoint_seq": self._checkpoint_seq,
@@ -641,19 +676,16 @@ class StreamService:
             "damaged_trip_ids": sorted(self._damaged_trip_ids),
             "retired": sorted(self._retired),
             "dead": sorted(self._dead),
-            "open": [self._open[t].to_payload() for t in sorted(self._open)],
-            "pending": [self._pending[t].to_payload() for t in sorted(self._pending)],
+            "open": [self._open[t] for t in sorted(self._open)],
+            "pending": [self._pending[t] for t in sorted(self._pending)],
             "windows_open": [self._windows_open[i] for i in sorted(self._windows_open)],
             "windows_closed": [
                 self._windows_closed[i] for i in sorted(self._windows_closed)
             ],
-            "errors": {
-                name: [e.to_dict() for e in q.errors]
-                for name, q in self._ledger.items()
-            },
+            "errors": JsonObject(self._ledger_json),
             "cleaning": self._cleaning.to_payload(),
             "funnel": self._funnel.to_payload(),
-            "match": self._match.to_payload(),
+            "match": JsonObject(self._match.to_payload(), **self._match_json),
         }
 
     def _try_resume(self) -> int:
@@ -685,6 +717,7 @@ class StreamService:
         self._cleaning.restore(payload["cleaning"])
         self._funnel.restore(payload["funnel"])
         self._match.restore(payload["match"])
+        self._list_encoders()
         get_registry().counter("stream.resumes").inc()
         journal = get_journal()
         if journal.enabled:

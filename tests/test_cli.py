@@ -258,6 +258,18 @@ class TestBadFlagValues:
          "repro obs: no such file or directory: RUN/events.jsonl"),
         (["obs", "trip", "RUN", "1"],
          "repro obs: no such file or directory: RUN/events.jsonl"),
+        (["serve", "--input", "POINTS", "--checkpoint-dir", "V2_CK"],
+         "repro serve: checkpoint schema 2 or older != "
+         f"{checkpoint_module.CHECKPOINT_SCHEMA_VERSION} "
+         "(incompatible checkpoint dir)"),
+        (["serve", "--input", "POINTS", "--checkpoint-every", "2",
+          "--checkpoint-dir", "POINTS"],
+         "repro serve: not a directory: POINTS"),
+        (["serve", "--input", "POINTS", "--no-resume", "--checkpoint-every", "2",
+          "--checkpoint-dir", "POINTS/ck"],
+         "repro serve: not a directory: POINTS"),
+        (["study", "--days", "2", "--store-dir", "POINTS"],
+         "repro study: not a directory: POINTS"),
     ])
     def test_reported_in_one_line_with_exit_2(
         self, argv, message, tmp_path, monkeypatch, capsys
@@ -312,6 +324,16 @@ class TestBadFlagValues:
         with monkeypatch.context() as patch:
             patch.setattr(checkpoint_module, "CHECKPOINT_SCHEMA_VERSION", 1)
             CheckpointStore(tmp_path / "OLD_CK").write(checkpoint)
+        # Schema 2's layout: a pointer file naming a shard-store object.
+        key = "ab" * 16
+        meta = tmp_path / "V2_CK" / "objects" / key[:2] / key / "meta.json"
+        meta.parent.mkdir(parents=True)
+        meta.write_text(json.dumps({"key": key, "meta": {**checkpoint,
+                                                          "checkpoint_schema": 2}}))
+        (tmp_path / "V2_CK" / "STORE_VERSION").write_text("1\n")
+        (tmp_path / "V2_CK" / "CHECKPOINT").write_text(json.dumps(
+            {"checkpoint_seq": 1, "key": key, "rows_ingested": 0}, sort_keys=True
+        ) + "\n")
         before = sorted(tmp_path.rglob("*"))
         try:
             code = main(argv)

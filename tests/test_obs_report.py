@@ -128,10 +128,14 @@ class TestDiffRuns:
         return d
 
     def test_identical_runs_do_not_diverge(self, tmp_path):
-        counters = {"od.post_filter_kept": 5, "parallel.clean_chunks": 3}
+        counters = {"od.post_filter_kept": 5, "parallel.clean_chunks": 3,
+                    "stream.checkpoint_bytes": 1000}
         a = self._run_dir(tmp_path, "a", counters)
-        b = self._run_dir(tmp_path, "b", {**counters, "parallel.clean_chunks": 9})
-        result = diff_runs(a, b)  # scheduling counters are out of scope
+        b = self._run_dir(tmp_path, "b", {**counters, "parallel.clean_chunks": 9,
+                                          "stream.checkpoint_bytes": 1003})
+        # Scheduling counters and checkpoint sizes (their bodies carry
+        # wall-clock stage seconds) are out of scope.
+        result = diff_runs(a, b)
         assert not result.divergent
         assert "zero artefact divergence" in result.render()
 

@@ -14,12 +14,21 @@ Resumption is exactly-once: already-ingested rows are skipped by index,
 Welford partials continue bit-identically (checkpoints serialise the
 raw per-cell speeds), and the fingerprints — floats rendered as
 ``float.hex`` — must equal the no-checkpoint baseline.
+
+Every checkpoint body must also equal the whole state's canonical JSON
+as ``tests/oracles/checkpoint.py`` encodes it afresh, although the
+service encodes each append-only list item once; and a damaged, torn or
+old-layout checkpoint must never be resumed from.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import hashlib
+import heapq
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -36,7 +45,8 @@ from repro.stream import (
     load_checkpoint,
     stream_fingerprint,
 )
-from repro.stream.checkpoint import CHECKPOINT_SCHEMA_VERSION, POINTER_NAME
+from repro.stream.checkpoint import CHECKPOINT_NAME, CHECKPOINT_SCHEMA_VERSION
+from tests.oracles.checkpoint import canonical, checkpoint_payload
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,6 +62,40 @@ def make_config(config, path, checkpoint_dir, **overrides):
     )
     kwargs.update(overrides)
     return StreamConfig(**kwargs)
+
+
+def read_body(ckdir: Path) -> dict:
+    """The checkpoint file's body, after its key check."""
+    head, __, body = (ckdir / CHECKPOINT_NAME).read_bytes().partition(b"\n")
+    assert head == hashlib.blake2b(body, digest_size=16).hexdigest().encode()
+    return json.loads(body)
+
+
+def interleave(path: Path, out: Path) -> Path:
+    """``path``'s trips as a live feed delivers them: taxis interleaved
+    by the running maximum of each trip's fix times, trip ids renumbered
+    by first arrival (the stream's ordering contract)."""
+    with path.open(newline="") as f:
+        reader = csv.DictReader(f)
+        fieldnames = reader.fieldnames
+        trips: dict[str, list[dict]] = {}
+        for row in reader:
+            trips.setdefault(row["trip_id"], []).append(row)
+
+    def keyed(rows):
+        latest = float("-inf")
+        for seq, row in enumerate(rows):
+            latest = max(latest, float(row["time_s"]))
+            yield latest, int(row["trip_id"]), seq, row
+
+    renumbered: dict[str, int] = {}
+    with out.open("w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer.writeheader()
+        for *__, row in heapq.merge(*map(keyed, trips.values())):
+            row["trip_id"] = renumbered.setdefault(row["trip_id"], len(renumbered) + 1)
+            writer.writerow(row)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -76,17 +120,55 @@ class TestCheckpointing:
     ):
         config, path, __ = stream_case
         result = StreamService(make_config(config, path, tmp_path)).run()
-        pointer = json.loads((tmp_path / POINTER_NAME).read_text())
-        assert pointer["checkpoint_seq"] == result.checkpoints_written
+        assert read_body(tmp_path)["checkpoint_seq"] == result.checkpoints_written
         payload = load_checkpoint(tmp_path)
         assert payload["checkpoint_seq"] == result.checkpoints_written
         assert payload["checkpoint_schema"] == CHECKPOINT_SCHEMA_VERSION
+        assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_NAME]
 
     def test_identical_state_dedupes_by_content(self, stream_case, tmp_path):
         config, path, __ = stream_case
         store = CheckpointStore(tmp_path)
         payload = {"checkpoint_seq": 1, "rows_ingested": 10, "state": [1, 2]}
         assert store.write(dict(payload)) == store.write(dict(payload))
+
+    @pytest.mark.parametrize("feed", ["trip_major", "interleaved"])
+    def test_every_body_encodes_the_whole_state(
+        self, stream_case, tmp_path, monkeypatch, feed
+    ):
+        """A checkpoint after every micro-batch: each body equals the
+        whole state encoded afresh, before a kill and after the resume
+        (whose encoders start over on the restored lists), and the run's
+        own metrics count each checkpoint's time and the bytes written."""
+        config, path, __ = stream_case
+        if feed == "interleaved":
+            path = interleave(path, tmp_path / "live.csv")
+        ckdir = tmp_path / "ck"
+        written, diverged = [], []
+        write_checkpoint = StreamService._write_checkpoint
+
+        def checked(service):
+            write_checkpoint(service)
+            data = (ckdir / CHECKPOINT_NAME).read_bytes()
+            written.append(len(data))
+            if data.partition(b"\n")[2] != canonical(checkpoint_payload(service)):
+                diverged.append(service._checkpoint_seq)
+
+        monkeypatch.setattr(StreamService, "_write_checkpoint", checked)
+        sc = make_config(config, path, ckdir, checkpoint_every=1)
+        assert StreamService(sc).run(stop_after_checkpoints=10) is None
+        written.clear()
+        result = StreamService(sc).run()
+        assert result.metrics["counters"]["stream.resumes"] == 1
+        assert diverged == []
+        assert len(written) == result.checkpoints_written >= 20
+        counters = result.metrics["counters"]
+        if feed == "trip_major":  # closed windows updated in place
+            assert counters["stream.window_late_folds"] > 0
+        assert counters["stream.checkpoint_bytes"] == sum(written)
+        histogram = result.metrics["histograms"]["stage.checkpoint.seconds"]
+        assert histogram["count"] == len(written)
+        assert [p.name for p in ckdir.iterdir()] == [CHECKPOINT_NAME]
 
 
 class TestKillAndResume:
@@ -117,9 +199,8 @@ class TestKillAndResume:
         reference, __ = full_run
         sc = make_config(config, path, tmp_path)
         assert StreamService(sc).run(stop_after_checkpoints=2) is None
-        pointer = json.loads((tmp_path / POINTER_NAME).read_text())
+        skipped = read_body(tmp_path)["rows_ingested"]
         resumed = StreamService(sc).run()
-        skipped = pointer["rows_ingested"]
         assert skipped == 2 * CHECKPOINT_EVERY * BATCH_SIZE
         assert resumed.rows_ingested == reference.rows_ingested
         assert resumed.metrics["counters"]["stream.rows_in"] == \
@@ -131,10 +212,13 @@ class TestKillAndResume:
         config, path, baseline = stream_case
         sc = make_config(config, path, tmp_path)
         assert StreamService(sc).run(stop_after_checkpoints=1) is None
+        # What a write killed before its rename leaves: replaced, never read.
+        (tmp_path / f"{CHECKPOINT_NAME}.tmp").write_bytes(b"torn")
         result = StreamService(sc).run(resume=False)
         assert "stream.resumes" not in result.metrics["counters"]
         got = stream_fingerprint(result)
         assert got == baseline
+        assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_NAME]
 
 
 class TestHardKill:
@@ -168,14 +252,14 @@ class TestHardKill:
             argv, cwd=REPO, env=env, capture_output=True, text=True,
         )
         assert killed.returncode == 1, killed.stderr
-        pointer = json.loads((ckdir / POINTER_NAME).read_text())
-        assert pointer["checkpoint_seq"] == 2
+        assert read_body(ckdir)["checkpoint_seq"] == 2
         assert not (out / "table3.txt").exists(), \
             "a killed service must not have written artefacts"
         rerun = subprocess.run(
             argv, cwd=REPO, env=env, capture_output=True, text=True
         )
         assert rerun.returncode == 0, rerun.stderr
+        assert [p.name for p in ckdir.iterdir()] == [CHECKPOINT_NAME]
         clean_out = tmp_path / "clean-out"
         uninterrupted = subprocess.run(
             [sys.executable, "-m", "repro", "serve",
@@ -225,5 +309,38 @@ class TestResumeSafety:
 
     def test_corrupt_or_missing_pointer_reads_as_fresh(self, tmp_path):
         assert load_checkpoint(tmp_path) is None
-        (tmp_path / POINTER_NAME).write_text("not json {")
+        (tmp_path / CHECKPOINT_NAME).write_text("not json {")
         assert load_checkpoint(tmp_path) is None
+
+    @pytest.mark.parametrize("damage", ["flipped_byte", "truncated", "torn_write"])
+    def test_damaged_checkpoint_reads_as_fresh_start(
+        self, stream_case, tmp_path, caplog, monkeypatch, damage
+    ):
+        """A checkpoint that fails its key check, and the temp file a kill
+        mid-write leaves, are discarded with one WARNING: the run starts
+        from scratch and still writes the baseline's artefacts."""
+        config, path, baseline = stream_case
+        sc = make_config(config, path, tmp_path)
+        assert StreamService(sc).run(stop_after_checkpoints=2) is None
+        checkpoint = tmp_path / CHECKPOINT_NAME
+        data = checkpoint.read_bytes()
+        middle = len(data) // 2
+        if damage == "flipped_byte":
+            checkpoint.write_bytes(
+                data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:]
+            )
+        elif damage == "truncated":
+            checkpoint.write_bytes(data[:middle])
+        else:  # killed while writing its first checkpoint
+            checkpoint.unlink()
+            (tmp_path / f"{CHECKPOINT_NAME}.tmp").write_bytes(data[:middle])
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        caplog.set_level(logging.WARNING, logger="repro.stream")
+        result = StreamService(sc).run()
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert [r.getMessage() for r in warnings] == ["discarding corrupt checkpoint"]
+        counters = result.metrics["counters"]
+        assert counters["stream.checkpoint_corrupt"] == 1
+        assert "stream.resumes" not in counters
+        assert stream_fingerprint(result) == baseline
+        assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_NAME]

@@ -17,6 +17,7 @@ folds.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -106,6 +107,42 @@ class TestReplayEquivalence:
         assert counters["od.within_centre"] == result.transitions_total
         assert result.kept_count == sum(
             row.post_filtered for row in result.funnel
+        )
+
+    def test_negative_event_times_time_out_like_positive_ones(
+        self, stream_case, tmp_path
+    ):
+        """Event times are any finite numbers: a feed shifted by a whole
+        number of windows (here to negative times) closes the same
+        trips by timeout, and still equals the batch study."""
+        config, path, __ = stream_case
+        shift = 25_000 * 86_400.0
+        shifted = tmp_path / "shifted.csv"
+        with path.open(newline="") as src, shifted.open("w", newline="") as dst:
+            reader = csv.DictReader(src)
+            writer = csv.DictWriter(dst, fieldnames=reader.fieldnames)
+            writer.writeheader()
+            for row in reader:
+                row["time_s"] = repr(float(row["time_s"]) - shift)
+                writer.writerow(row)
+        plain = run_stream(config, path, batch_size=64)
+        moved = run_stream(config, shifted, batch_size=64)
+        assert moved.windows[-1]["end_s"] < 0
+        for name in ("stream.trips_closed", "stream.windows_closed"):
+            assert moved.metrics["counters"][name] == \
+                plain.metrics["counters"][name], name
+
+        def counts(windows):
+            return [{k: v for k, v in w.items()
+                     if k not in ("window", "start_s", "end_s")} for w in windows]
+
+        assert counts(moved.windows) == counts(plain.windows)
+        quarantine = Quarantine()
+        batch = OuluStudy(config).run(
+            fleet=read_points_csv(shifted, quarantine=quarantine)
+        )
+        assert_same_artefacts(
+            stream_fingerprint(moved), study_fingerprint(batch, quarantine.errors)
         )
 
     def test_windows_partition_the_fold(self, stream_case):
